@@ -27,15 +27,12 @@ from .model import (
 )
 from .randomness import (
     RandomStream,
-    make_stream,
     substream,
-    uniform01,
     uniform_box,
     uniform_box_block,
 )
 from .samplers import (
     BudgetExhausted,
-    estimate_bound,
     estimate_bound_argmax,
     grmc_sample,
     proposal_budget,
@@ -74,12 +71,9 @@ __all__ = [
     "validate_target",
     "build_piecewise_proposal",
     "RandomStream",
-    "make_stream",
     "substream",
-    "uniform01",
     "uniform_box",
     "uniform_box_block",
-    "estimate_bound",
     "estimate_bound_argmax",
     "srmc_sample",
     "grmc_sample",

@@ -13,7 +13,6 @@ replication standard deviation over sqrt(R).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,8 @@ import numpy as np
 from . import expression
 from .expression import Node
 from .model import Box, ScalarField, validate_target
-from .randomness import RandomStream, make_stream, substream, uniform_box_block
-from .samplers import resolve_workers, srmc_sample
+from .randomness import RandomStream, capture_seed, substream, uniform_box_block
+from .samplers import ordered_map, srmc_sample
 
 __all__ = ["IntegralEstimate", "integrate_screened", "integrate_direct"]
 
@@ -67,14 +66,6 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return value, stderr
 
 
-def _capture_seed(stream: RandomStream | int) -> int:
-    if isinstance(stream, RandomStream):
-        seed = stream.state
-        stream.next_u64()
-        return seed
-    return make_stream(stream).state
-
-
 def integrate_screened(
     g: ScalarField,
     region: Node,
@@ -96,7 +87,7 @@ def integrate_screened(
         raise ValueError("n and reps must be at least 1")
     _check_region(region, g)
     target = validate_target(g, box)
-    run_seed = _capture_seed(stream)
+    run_seed = capture_seed(stream)
     vol = box.volume
 
     def one_rep(r: int) -> tuple[float, int, int, int]:
@@ -107,13 +98,7 @@ def integrate_screened(
         in_region = int(np.count_nonzero(expression.evaluate_batch(region, batch.points) == 1.0))
         return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted
 
-    nworkers = min(resolve_workers(workers), reps)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-    else:
-        results = [one_rep(r) for r in range(reps)]
-
+    results = ordered_map(one_rep, reps, workers)
     values = [r[0] for r in results]
     value, stderr = _aggregate(values)
     return IntegralEstimate(
@@ -147,7 +132,7 @@ def integrate_direct(
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
     _check_region(region, g)
-    run_seed = _capture_seed(stream)
+    run_seed = capture_seed(stream)
     vol = box.volume
 
     def one_rep(r: int) -> float:
@@ -155,13 +140,7 @@ def integrate_direct(
         inside = expression.evaluate_batch(region, uniform)
         return vol * float(np.mean(g(uniform) * inside))
 
-    nworkers = min(resolve_workers(workers), reps)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            values = list(pool.map(one_rep, range(reps)))
-    else:
-        values = [one_rep(r) for r in range(reps)]
-
+    values = ordered_map(one_rep, reps, workers)
     value, stderr = _aggregate(values)
     return IntegralEstimate(
         value=value,

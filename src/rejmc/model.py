@@ -10,6 +10,10 @@ sampler then draws from the renormalized truncation of the density to the
 box. ``validate_target(..., estimate_truncation=True)`` attaches a plain
 Monte Carlo estimate of the mass lost to truncation (meaningful when the
 field is a normalized density).
+
+Every regular-grid evaluation (bound, histogram envelope, chi-square
+quadrature) goes through ``grid_reduce``, which evaluates in bounded-memory
+slabs and refuses a grid of more than 2^28 points before evaluating any.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import expression
 from .expression import Node, VarOrder
-from .randomness import make_stream, uniform_box_block
+from .randomness import RandomStream, uniform_box_block
 
 __all__ = [
     "Box",
@@ -36,6 +40,8 @@ __all__ = [
     "EnvelopeViolation",
     "validate_target",
     "build_piecewise_proposal",
+    "bin_counts",
+    "grid_reduce",
     "MAX_GRID_POINTS",
 ]
 
@@ -43,6 +49,10 @@ __all__ = [
 _VALIDATION_SEED = 0x56414C4944415445
 
 MAX_GRID_POINTS = 1 << 22
+# grid_reduce evaluates at most this many points at once (unless a single
+# leading-axis cell holds more) and refuses grids larger than the limit
+_GRID_BLOCK = 1 << 20
+_GRID_LIMIT = 1 << 28
 
 
 class ModelValidationError(ValueError):
@@ -229,7 +239,7 @@ def validate_target(
     """
     if field.dims != box.dims:
         raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
-    stream = make_stream(_VALIDATION_SEED)
+    stream = RandomStream(_VALIDATION_SEED)
     pts = uniform_box_block(stream, box, probes)
     vals = field(pts)
 
@@ -247,9 +257,9 @@ def validate_target(
         )
 
     if bound_c is None:
-        from .samplers import estimate_bound
+        from .samplers import estimate_bound_argmax
 
-        bound_c = estimate_bound(field, box, _default_grid(box.dims), safety=safety)
+        bound_c, _ = estimate_bound_argmax(field, box, _default_grid(box.dims), safety=safety)
         if not bound_c > 0.0:
             raise ModelValidationError(
                 "estimated envelope is not positive; the field vanishes on the grid"
@@ -271,6 +281,47 @@ def validate_target(
         truncation = 1.0 - inside
 
     return TargetSpec(field, box, bound_c, truncation)
+
+
+def bin_counts(bins_per_dim: int | Sequence[int], dims: int) -> tuple[int, ...]:
+    """Bins per dimension from one int (used for every dimension) or one
+    count per dimension; each count must be at least 1."""
+    bins = (
+        (int(bins_per_dim),) * dims
+        if isinstance(bins_per_dim, int)
+        else tuple(int(b) for b in bins_per_dim)
+    )
+    if len(bins) != dims or any(b < 1 for b in bins):
+        raise ValueError(f"need {dims} positive bin counts, got {bins}")
+    return bins
+
+
+def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.ndarray:
+    """``reduce`` (np.max or np.sum) of ``field`` over each grid cell.
+
+    ``axes[i]`` holds dimension i's coordinates, ``per_cell`` consecutive
+    ones per cell. The grid is evaluated in C order, in slabs of whole
+    leading-axis cells of at most 2^20 points (or one such cell, if larger),
+    so each cell reduces bit-identically to a one-shot evaluation. A slab
+    never cuts a later axis: numpy merges reduced axes across kept axes of
+    extent one, which could reorder a cell's sum. Raises ValueError before
+    evaluating anything for a grid of more than 2^28 points.
+    """
+    total = math.prod(len(a) for a in axes)
+    if total > _GRID_LIMIT:
+        raise ValueError(f"grid of {total} points exceeds the limit of {_GRID_LIMIT} points")
+    cells = [len(a) // per_cell for a in axes]
+    step = max(1, _GRID_BLOCK // (total // cells[0]))
+    cell_axes = tuple(range(1, 2 * len(axes), 2))
+    out = []
+    for start in range(0, cells[0], step):
+        stop = min(start + step, cells[0])
+        lead = axes[0][start * per_cell : stop * per_cell]
+        mesh = np.meshgrid(lead, *axes[1:], indexing="ij")
+        vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
+        shape = (stop - start, per_cell, *(x for c in cells[1:] for x in (c, per_cell)))
+        out.append(reduce(vals.reshape(shape), axis=cell_axes))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,33 +373,18 @@ def build_piecewise_proposal(
     """
     if field.dims != box.dims:
         raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
-    d = box.dims
-    bins = (
-        (int(bins_per_dim),) * d
-        if isinstance(bins_per_dim, int)
-        else tuple(int(b) for b in bins_per_dim)
-    )
-    if len(bins) != d:
-        raise ValueError(f"need {d} bin counts, got {len(bins)}")
-    if any(b < 1 for b in bins):
-        raise ValueError(f"bins per dimension must be >= 1: {bins}")
+    bins = bin_counts(bins_per_dim, box.dims)
     cells = math.prod(bins)
     if cells > MAX_GRID_POINTS:
         raise ValueError(f"partition has {cells} cells; limit is {MAX_GRID_POINTS}")
 
-    # per-dimension refined coordinates, shaped (bins_i, refinement+1)
+    # per-dimension refined coordinates: refinement+1 per cell, corners included
     axes = []
-    for i, b in enumerate(bins):
-        lo, hi = box.bounds[i]
+    for (lo, hi), b in zip(box.bounds, bins):
         step = (hi - lo) / b
         offsets = np.arange(refinement + 1, dtype=np.float64) / refinement * step
         axes.append((lo + np.arange(b, dtype=np.float64)[:, None] * step + offsets).ravel())
-
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = field(pts).reshape(tuple(b * (refinement + 1) for b in bins))
-    shaped = vals.reshape(tuple(x for b in bins for x in (b, refinement + 1)))
-    cell_max = shaped.max(axis=tuple(range(1, 2 * d, 2)))
+    cell_max = grid_reduce(field, axes, refinement + 1, np.max)
 
     heights = np.where(cell_max > 0.0, cell_max * safety, 0.0)
     cell_volume = math.prod((hi - lo) / b for (lo, hi), b in zip(box.bounds, bins))

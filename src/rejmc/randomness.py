@@ -67,9 +67,17 @@ class RandomStream:
         return f"RandomStream(state=0x{self.state:016X})"
 
 
-def make_stream(seed: int) -> RandomStream:
-    """Stream whose state starts at ``seed`` (64-bit, wraps)."""
-    return RandomStream(seed)
+def capture_seed(stream_or_seed: RandomStream | int) -> int:
+    """The run seed of a stream or integer seed.
+
+    An int gives ``seed & MASK64``. A stream gives its current state and is
+    advanced one step, so consecutive runs on one stream differ.
+    """
+    if isinstance(stream_or_seed, RandomStream):
+        seed = stream_or_seed.state
+        stream_or_seed.next_u64()
+        return seed
+    return int(stream_or_seed) & MASK64
 
 
 def substream(seed: int, chunk: int) -> RandomStream:
@@ -83,10 +91,6 @@ def substream(seed: int, chunk: int) -> RandomStream:
         raise ValueError("chunk index must be nonnegative")
     salt = (GOLDEN_GAMMA * (chunk + 1)) & MASK64
     return RandomStream(mix64((int(seed) & MASK64) ^ salt))
-
-
-def uniform01(stream: RandomStream) -> float:
-    return stream.uniform01()
 
 
 def uniform_box(stream: RandomStream, box) -> np.ndarray:

@@ -13,7 +13,11 @@ worker count comes from the RMC_THREADS environment variable when not passed
 explicitly.
 
 A run that draws far more proposals than its running acceptance rate
-justifies fails loudly with BudgetExhausted instead of looping forever.
+justifies, or whose chunk has accepted nothing after 2^24 proposals, fails
+loudly with BudgetExhausted instead of looping forever.
+
+Chunks, and the integrator's replications, run through ordered_map, the one
+parallel map of the package.
 """
 from __future__ import annotations
 
@@ -21,22 +25,23 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
 
-from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
-from .randomness import RandomStream, make_stream, substream
+from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField
+from .model import TargetSpec, grid_reduce
+from .randomness import RandomStream, capture_seed, substream
 
 __all__ = [
-    "estimate_bound",
     "estimate_bound_argmax",
     "srmc_sample",
     "grmc_sample",
     "BudgetExhausted",
     "proposal_budget",
     "resolve_workers",
+    "ordered_map",
     "CHUNK_ACCEPTS",
     "PROGRESS_INTERVAL",
 ]
@@ -45,6 +50,9 @@ CHUNK_ACCEPTS = 4096
 PROGRESS_INTERVAL = 1 << 16
 _MAX_BATCH = 1 << 17
 _MAX_GRID_TOTAL = 1 << 22
+# a chunk with no acceptance after this many proposals fails: at the budget's
+# floor rate of 1e-6, zero accepts that late has probability e^-16.8
+_ZERO_ACCEPT_LIMIT = 1 << 24
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -78,18 +86,31 @@ def resolve_workers(workers: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def estimate_bound(
-    field: ScalarField, box: Box, grid_per_dim: int, safety: float = 1.0
-) -> float:
-    """safety * max of the field over a regular grid including box corners."""
-    value, _ = estimate_bound_argmax(field, box, grid_per_dim, safety)
-    return value
+def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = None) -> list:
+    """[fn(0), ..., fn(count - 1)], on up to ``workers`` threads.
+
+    Runs serially in the caller's thread when at most one worker would be
+    busy. Otherwise the first failure cancels the calls not yet started, and
+    once the running calls end the first failure in index order is raised.
+    """
+    nworkers = min(resolve_workers(workers), count)
+    if nworkers <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        futures = [pool.submit(fn, i) for i in range(count)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for fut in futures:
+            fut.cancel()
+    # the pool starts calls in index order, so every call before the first
+    # cancelled one has run and a failure among them is found first
+    return [fut.result() for fut in futures if not fut.cancelled()]
 
 
 def estimate_bound_argmax(
     field: ScalarField, box: Box, grid_per_dim: int, safety: float = 1.0
 ) -> tuple[float, np.ndarray]:
-    """As estimate_bound, also returning the grid point of the maximum."""
+    """safety * max of the field over a regular grid including box corners,
+    and the grid point of the (first) maximum."""
     if grid_per_dim < 2:
         raise ValueError("grid_per_dim must be at least 2")
     if safety < 1.0:
@@ -99,11 +120,9 @@ def estimate_bound_argmax(
             f"grid of {grid_per_dim}^{box.dims} points exceeds the {_MAX_GRID_TOTAL} limit"
         )
     axes = [np.linspace(lo, hi, grid_per_dim) for lo, hi in box.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = field(pts)
-    k = int(np.argmax(vals))
-    return safety * float(vals[k]), pts[k]
+    vals = grid_reduce(field, axes, 1, np.max)
+    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return safety * float(vals[at]), np.array([a[i] for a, i in zip(axes, at)])
 
 
 class _Progress:
@@ -185,7 +204,7 @@ def _run_chunk(
         budget = proposal_budget(chunk_n, accepted / proposed)
         if max_proposals is not None:
             budget = min(budget, float(max_proposals))
-        if proposed > budget:
+        if proposed > budget or (accepted == 0 and proposed >= _ZERO_ACCEPT_LIMIT):
             raise _ChunkBudgetExceeded()
     points = np.concatenate(taken, axis=0) if taken else np.empty((0, dims))
     return points, proposed
@@ -201,7 +220,7 @@ def _chunk_plan(n: int) -> list[int]:
 def _run_chunked(
     n: int,
     dims: int,
-    stream: RandomStream,
+    stream: RandomStream | int,
     propose_and_test,
     bound_for_meta: float,
     progress: ProgressCallback | None,
@@ -211,37 +230,20 @@ def _run_chunked(
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
     t0 = time.perf_counter()
-    run_seed = stream.state
-    stream.next_u64()  # consecutive runs on one stream must differ
+    run_seed = capture_seed(stream)
     plan = _chunk_plan(n)
     tracker = _Progress(progress)
-    nworkers = resolve_workers(workers)
 
     def work(i: int) -> tuple[np.ndarray, int]:
         return _run_chunk(
             substream(run_seed, i), plan[i], dims, propose_and_test, tracker, max_proposals
         )
 
-    results: list[tuple[np.ndarray, int] | None] = [None] * len(plan)
-    failed = False
-    if nworkers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=min(nworkers, len(plan))) as pool:
-            futures = [pool.submit(work, i) for i in range(len(plan))]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except _ChunkBudgetExceeded:
-                    failed = True
-    else:
-        for i in range(len(plan)):
-            try:
-                results[i] = work(i)
-            except _ChunkBudgetExceeded:
-                failed = True
-                break
-    if failed:
+    try:
+        results = ordered_map(work, len(plan), workers)
+    except _ChunkBudgetExceeded:
         proposals, accepted = tracker.fire_final()
-        raise BudgetExhausted(proposals, accepted, n)
+        raise BudgetExhausted(proposals, accepted, n) from None
 
     points = np.concatenate([r[0] for r in results], axis=0)
     proposals = sum(r[1] for r in results)
@@ -256,12 +258,6 @@ def _run_chunked(
         bound_c=bound_for_meta,
     )
     return SampleBatch(dims=dims, points=points, meta=meta)
-
-
-def _as_stream(stream_or_seed: RandomStream | int) -> RandomStream:
-    if isinstance(stream_or_seed, RandomStream):
-        return stream_or_seed
-    return make_stream(stream_or_seed)
 
 
 def srmc_sample(
@@ -280,7 +276,6 @@ def srmc_sample(
     order. Raises BudgetExhausted when the proposal budget runs out;
     ``max_proposals`` adds a harder per-chunk cap.
     """
-    stream = _as_stream(stream)
     box = target.support
     d = box.dims
     lower, widths = box.lower, box.widths
@@ -313,7 +308,6 @@ def grmc_sample(
     and x is accepted iff f(x)/h_cell >= u. The metadata's bound_c records
     the effective constant total_mass/volume.
     """
-    stream = _as_stream(stream)
     box = proposal.box
     d = box.dims
     single_cell = proposal.cell_count == 1

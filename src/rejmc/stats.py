@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
-from .model import SampleBatch, TargetSpec
+from .model import SampleBatch, TargetSpec, bin_counts, grid_reduce
 
 __all__ = [
     "SummaryStats",
@@ -206,14 +206,7 @@ def chi_square_box(
     """
     pts = _as_points(batch)
     box = target.support
-    d = box.dims
-    bins = (
-        (int(bins_per_dim),) * d
-        if isinstance(bins_per_dim, int)
-        else tuple(int(b) for b in bins_per_dim)
-    )
-    if len(bins) != d or any(b < 1 for b in bins):
-        raise ValueError(f"need {d} positive bin counts, got {bins}")
+    bins = bin_counts(bins_per_dim, box.dims)
 
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box.bounds, bins)]
     observed, _ = np.histogramdd(pts, bins=edges)
@@ -223,10 +216,7 @@ def chi_square_box(
     for (lo, hi), b in zip(box.bounds, bins):
         step = (hi - lo) / (b * q)
         axes.append(lo + (np.arange(b * q, dtype=np.float64) + 0.5) * step)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    quad_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = target.field(quad_pts).reshape(tuple(x for b in bins for x in (b, q)))
-    cell_mass = vals.sum(axis=tuple(range(1, 2 * d, 2)))
+    cell_mass = grid_reduce(target.field, axes, q, np.sum)
     total = float(cell_mass.sum())
     if not total > 0.0:
         raise ValueError("target density vanishes on the quadrature grid")

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -191,6 +193,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "srmc_sample", explode)
         assert run(sample_args(n=10), tmp_path, monkeypatch) == 3
 
+    def test_zero_acceptance_exits_3_unmocked(self, tmp_path, monkeypatch, capsys):
+        args = [
+            "sample", "--density", "(x >= 0.9999999999)", "--vars", "x", "--box", "0:1",
+            "--n", "10",
+        ]
+        start = time.monotonic()
+        assert run(args, tmp_path, monkeypatch) == 3
+        assert time.monotonic() - start < 20
+        # the single chunk gives up at 2^24 proposals with nothing accepted
+        assert "after 16777216 proposals with 0/10 accepted" in capsys.readouterr().err
+
     def test_validation_failure_exits_4(self, tmp_path, monkeypatch):
         # samples from the sine density tested against a uniform CDF
         args = [
@@ -255,6 +268,23 @@ class TestValidate:
         meta = json.loads((tmp_path / "run.json").read_text())
         assert meta["gof"]["kind"] == "chi_square"
         assert meta["gof"]["dof"] == 26
+
+    def test_4d_default_bins_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # 8 bins of 32 quadrature points per dimension: 256^4 grid points
+        args = [
+            "validate", "--density", "exp(-(x^2+y^2+z^2+w^2))", "--vars", "x,y,z,w",
+            "--box", "-2:2,-2:2,-2:2,-2:2", "--n", "200", "--seed", "1",
+        ]
+        tracemalloc.start()
+        try:
+            code = run(args, tmp_path, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 256 * 2**20
+        err = capsys.readouterr().err
+        assert f"grid of {256**4} points exceeds the limit of {1 << 28} points" in err
 
 
 class TestIntegrate:

@@ -7,11 +7,11 @@ from rejmc import (
     Box,
     IntegralEstimate,
     ModelValidationError,
+    RandomStream,
     ScalarField,
     VarOrder,
     integrate_direct,
     integrate_screened,
-    make_stream,
     parse,
 )
 from conftest import PARABOLA_REGION, PARABOLA_REGION_INTEGRAL, PRODUCT_BOX_INTEGRAL
@@ -161,9 +161,9 @@ class TestInvariants:
             integrate_direct(product_field, region, product_box, 10, 0, 1)
 
     def test_stream_objects_accepted(self, product_field, product_box, region):
-        stream = make_stream(77)
+        stream = RandomStream(77)
         a = integrate_direct(product_field, region, product_box, 1000, 2, stream)
         b = integrate_direct(product_field, region, product_box, 1000, 2, stream)
         assert a.value != b.value  # consecutive runs on one stream differ
-        again = integrate_direct(product_field, region, product_box, 1000, 2, make_stream(77))
+        again = integrate_direct(product_field, region, product_box, 1000, 2, RandomStream(77))
         assert a.value == again.value

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +8,16 @@ from rejmc import (
     Box,
     EnvelopeViolation,
     ModelValidationError,
+    RandomStream,
     ScalarField,
     TargetSpec,
     VarOrder,
     box_from_text,
     build_piecewise_proposal,
-    make_stream,
     uniform_box_block,
     validate_target,
 )
+from rejmc import model
 from conftest import GAUSS_MAX, GAUSS_C_LOOSE
 
 
@@ -172,7 +174,7 @@ class TestPiecewiseProposal:
             (gauss_field, gauss_box, 8, GAUSS_C_LOOSE),
         ]:
             prop = build_piecewise_proposal(field, box, bins)
-            pts = uniform_box_block(make_stream(0xD011), box, 10_000)
+            pts = uniform_box_block(RandomStream(0xD011), box, 10_000)
             vals = field(pts)
             assert np.all(vals <= bound)
             steps = box.widths / np.asarray(prop.bins, dtype=np.float64)
@@ -199,3 +201,35 @@ class TestPiecewiseProposal:
 
 def test_gauss_analytic_max_constant():
     assert GAUSS_MAX == pytest.approx(0.16243683359034922, rel=1e-15)
+
+
+class TestGridReduce:
+    @pytest.mark.parametrize("reduce", [np.max, np.sum])
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_slabs_match_one_shot_bit_for_bit(self, monkeypatch, dims, reduce):
+        # a block of one point makes every slab a single leading-axis cell
+        monkeypatch.setattr(model, "_GRID_BLOCK", 1)
+        names = "xyzw"[:dims]
+        field = ScalarField.from_text(
+            "exp(-(" + "+".join(f"{v}^2" for v in names) + ")) * (1.5 + sin(3*x))",
+            VarOrder(list(names)),
+        )
+        rng = np.random.default_rng(dims)
+        per_cell = 3
+        for bins in itertools.product([1, 3], repeat=dims):
+            axes = [np.sort(rng.uniform(-2.0, 2.0, b * per_cell)) for b in bins]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
+            shaped = vals.reshape(tuple(x for b in bins for x in (b, per_cell)))
+            want = reduce(shaped, axis=tuple(range(1, 2 * dims, 2)))
+            got = model.grid_reduce(field, axes, per_cell, reduce)
+            assert got.shape == bins
+            assert np.array_equal(got, want), bins
+
+    def test_oversized_grid_refused_before_evaluation(self):
+        def never(points):
+            raise AssertionError("grid evaluated")
+
+        axes = [np.zeros(256)] * 4  # 2^32 points
+        with pytest.raises(ValueError, match=f"{256**4} points exceeds the limit of {1 << 28}"):
+            model.grid_reduce(never, axes, 32, np.sum)

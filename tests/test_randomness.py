@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rejmc import Box, make_stream, substream, uniform01, uniform_box, uniform_box_block
-from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, mix64
+from rejmc import Box, RandomStream, substream, uniform_box, uniform_box_block
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, mix64
 
 
 def reference_mix(z):
@@ -29,7 +29,7 @@ def test_seed_zero_reference_output():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    stream = make_stream(0)
+    stream = RandomStream(0)
     assert stream.next_u64() == 0xE220A8397B1DCDAF
     assert stream.next_u64() == 0x6E789E6AA1B965F4
     assert stream.next_u64() == 0x06C45D188009454F
@@ -37,8 +37,8 @@ def test_seed_zero_reference_output():
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 0xDEADBEEF])
 def test_streams_deterministic(seed):
-    first = make_stream(seed)
-    second = make_stream(seed)
+    first = RandomStream(seed)
+    second = RandomStream(seed)
     a = [first.next_u64() for _ in range(3)]
     b = [second.next_u64() for _ in range(3)]
     assert a == b
@@ -46,7 +46,7 @@ def test_streams_deterministic(seed):
 
 
 def test_nearby_seeds_differ():
-    assert make_stream(1).next_u64() != make_stream(2).next_u64()
+    assert RandomStream(1).next_u64() != RandomStream(2).next_u64()
 
 
 @pytest.mark.parametrize("seed,count", [(0, 1), (7, 17), (123456789, 1000)])
@@ -67,7 +67,7 @@ def test_uniform01_mapping_extremes():
 
 
 def test_uniform01_range_and_mean():
-    stream = make_stream(2024)
+    stream = RandomStream(2024)
     draws = stream.uniform01_block(1_000_000)
     assert draws.min() >= 0.0
     assert draws.max() < 1.0
@@ -76,13 +76,13 @@ def test_uniform01_range_and_mean():
 
 
 def test_uniform01_scalar_matches_block():
-    a = make_stream(5)
-    b = make_stream(5)
+    a = RandomStream(5)
+    b = RandomStream(5)
     assert [a.uniform01() for _ in range(10)] == list(b.uniform01_block(10))
 
 
 def test_uniform01_chi_square_uniformity():
-    draws = make_stream(31337).uniform01_block(100_000)
+    draws = RandomStream(31337).uniform01_block(100_000)
     counts, _ = np.histogram(draws, bins=100, range=(0.0, 1.0))
     expected = 1000.0
     statistic = float(np.sum((counts - expected) ** 2 / expected))
@@ -90,34 +90,34 @@ def test_uniform01_chi_square_uniformity():
 
 
 def test_uniform_box_identity_square():
-    stream = make_stream(0)
+    stream = RandomStream(0)
     expect = [stream.uniform01() for _ in range(2)]
-    point = uniform_box(make_stream(0), Box([(0, 1), (0, 1)]))
+    point = uniform_box(RandomStream(0), Box([(0, 1), (0, 1)]))
     assert list(point) == expect
 
 
 def test_uniform_box_affine_and_range(gauss_box):
-    stream = make_stream(17)
+    stream = RandomStream(17)
     pts = uniform_box_block(stream, gauss_box, 5000)
     assert pts.shape == (5000, 2)
     assert np.all(pts >= -5.0) and np.all(pts < 5.0)
 
     eps = 1e-9
     tight = Box([(2.0, 2.0 + eps)])
-    vals = uniform_box_block(make_stream(3), tight, 100)
+    vals = uniform_box_block(RandomStream(3), tight, 100)
     assert np.all(vals >= 2.0) and np.all(vals < 2.0 + eps)
 
 
 def test_uniform_box_consumes_exactly_d_draws():
     box = Box([(0, 1), (2, 5), (-1, 1)])
-    stream = make_stream(9)
-    reference = make_stream(9)
+    stream = RandomStream(9)
+    reference = RandomStream(9)
     reference.next_u64_block(3)
     uniform_box(stream, box)
     assert stream.state == reference.state
 
-    stream2 = make_stream(9)
-    reference2 = make_stream(9)
+    stream2 = RandomStream(9)
+    reference2 = RandomStream(9)
     reference2.next_u64_block(3 * 40)
     uniform_box_block(stream2, box, 40)
     assert stream2.state == reference2.state
@@ -125,8 +125,8 @@ def test_uniform_box_consumes_exactly_d_draws():
 
 def test_uniform_box_dimension_order():
     box = Box([(0, 1), (10, 20)])
-    raw = make_stream(77).uniform01_block(2)
-    point = uniform_box(make_stream(77), box)
+    raw = RandomStream(77).uniform01_block(2)
+    point = uniform_box(RandomStream(77), box)
     assert point[0] == raw[0]
     assert point[1] == 10 + raw[1] * 10
 
@@ -150,9 +150,3 @@ def test_substream_merge_invariant_to_interleaving():
     merged = [np.array(drawn[k]) for k in range(4)]
     for a, b in zip(chunks, merged):
         assert np.array_equal(a, b)
-
-
-def test_module_level_uniform01():
-    stream = make_stream(11)
-    ref = make_stream(11)
-    assert uniform01(stream) == ref.uniform01()

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,20 +8,20 @@ import pytest
 from rejmc import (
     Box,
     BudgetExhausted,
+    RandomStream,
     ScalarField,
     VarOrder,
     build_piecewise_proposal,
-    estimate_bound,
     estimate_bound_argmax,
     grmc_sample,
     ks_test_1d,
-    make_stream,
     predicted_acceptance,
     proposal_budget,
     srmc_sample,
     substream,
     validate_target,
 )
+from rejmc.samplers import ordered_map
 from conftest import GAUSS_C_LOOSE, SINE_HI, SINE_LO
 
 
@@ -31,16 +33,16 @@ def sine_target(sine_field, sine_box):
 class TestEstimateBound:
     def test_sine_grid_hits_peak(self, sine_field, sine_box):
         # 1025 is odd, so the grid contains pi/2
-        value = estimate_bound(sine_field, sine_box, 1025, safety=1.0)
+        value = estimate_bound_argmax(sine_field, sine_box, 1025, safety=1.0)[0]
         assert value == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
     def test_gaussian_grid_hits_origin(self, gauss_field, gauss_box):
-        value = estimate_bound(gauss_field, gauss_box, 257, safety=1.0)
+        value = estimate_bound_argmax(gauss_field, gauss_box, 257, safety=1.0)[0]
         assert value == pytest.approx(0.16243683359034922, abs=1e-3)
 
     def test_constant_field_with_safety(self):
         field = ScalarField.from_text("3", VarOrder(["x"]))
-        assert estimate_bound(field, Box([(0, 1)]), 33, safety=1.2) == pytest.approx(3.6)
+        assert estimate_bound_argmax(field, Box([(0, 1)]), 33, safety=1.2)[0] == pytest.approx(3.6)
 
     def test_argmax_location(self, sine_field, sine_box):
         _, at = estimate_bound_argmax(sine_field, sine_box, 1025)
@@ -48,11 +50,11 @@ class TestEstimateBound:
 
     def test_preconditions(self, sine_field, sine_box, gauss_field, gauss_box):
         with pytest.raises(ValueError):
-            estimate_bound(sine_field, sine_box, 1)
+            estimate_bound_argmax(sine_field, sine_box, 1)[0]
         with pytest.raises(ValueError):
-            estimate_bound(sine_field, sine_box, 10, safety=0.5)
+            estimate_bound_argmax(sine_field, sine_box, 10, safety=0.5)[0]
         with pytest.raises(ValueError):
-            estimate_bound(gauss_field, gauss_box, 3000)
+            estimate_bound_argmax(gauss_field, gauss_box, 3000)[0]
 
     def test_domain_fault_at_grid_point(self):
         from rejmc import EvalError
@@ -60,7 +62,7 @@ class TestEstimateBound:
         field = ScalarField.from_text("log(x)", VarOrder(["x"]))
         # the grid includes the corner x=0
         with pytest.raises(EvalError):
-            estimate_bound(field, Box([(0, 1)]), 17)
+            estimate_bound_argmax(field, Box([(0, 1)]), 17)[0]
 
 
 def replay_srmc(field, box, c, seed, n):
@@ -139,7 +141,7 @@ class TestSrmc:
         assert a.meta.proposals_drawn == b.meta.proposals_drawn == c.meta.proposals_drawn
 
     def test_consecutive_calls_on_one_stream_differ(self, sine_target):
-        stream = make_stream(5)
+        stream = RandomStream(5)
         a = srmc_sample(sine_target, 100, stream)
         b = srmc_sample(sine_target, 100, stream)
         assert a.meta.seed == 5
@@ -266,6 +268,16 @@ class TestBudget:
         proposals = [p for p, _ in calls]
         assert proposals == sorted(proposals)
 
+    def test_multi_chunk_threaded_failure_reports_payload(self):
+        field = ScalarField.from_text("(x >= 0.999999)", VarOrder(["x"]))
+        target = validate_target(field, Box([(0, 1)]), 1.0)
+        calls = []
+        with pytest.raises(BudgetExhausted) as err:
+            srmc_sample(target, 3 * 4096, 0, progress=lambda p, a: calls.append((p, a)),
+                        workers=2, max_proposals=200_000)
+        assert err.value.requested_n == 3 * 4096
+        assert calls[-1] == (err.value.proposals_drawn, err.value.accepted)
+
 
 class TestProgress:
     def test_no_callbacks_for_small_runs(self, sine_target):
@@ -289,3 +301,43 @@ class TestProgress:
         )
         assert len(calls) >= 3  # ~500k proposals cross several 2^16 marks
         assert all(c1 <= c2 for c1, c2 in zip(calls, calls[1:]))
+
+
+class TestOrderedMap:
+    def test_results_in_index_order(self):
+        # later indices finish first
+        out = ordered_map(lambda i: time.sleep(0.002 * (8 - i)) or i * i, 8, workers=4)
+        assert out == [i * i for i in range(8)]
+
+    def test_single_worker_runs_in_caller_thread(self):
+        caller = threading.get_ident()
+        assert ordered_map(lambda i: threading.get_ident(), 3, workers=1) == [caller] * 3
+        assert ordered_map(lambda i: threading.get_ident(), 1, workers=4) == [caller]
+
+    def test_first_failure_in_index_order_is_raised(self):
+        def fn(i):
+            if i == 3:
+                time.sleep(0.2)
+                raise ValueError("three")
+            if i == 5:
+                raise ValueError("five")
+            return i
+
+        with pytest.raises(ValueError, match="three"):
+            ordered_map(fn, 8, workers=8)
+
+    def test_failure_cancels_unstarted_calls(self):
+        lock = threading.Lock()
+        ran = []
+
+        def fn(i):
+            with lock:
+                ran.append(i)
+            if i == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(RuntimeError, match="boom"):
+            ordered_map(fn, 50, workers=2)
+        assert len(ran) < 50

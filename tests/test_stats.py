@@ -6,7 +6,7 @@ import pytest
 from rejmc import (
     chi_square_box,
     ks_test_1d,
-    make_stream,
+    RandomStream,
     merge_summaries,
     predicted_acceptance,
     srmc_sample,
@@ -105,7 +105,7 @@ class TestKsTest:
         assert ks_test_1d(np.sort(batch.points[:, 0]), cdf, alpha=0.01).passed
 
     def test_uniform_fails_against_sine_cdf(self):
-        draws = np.sort(make_stream(15).uniform01_block(2000))
+        draws = np.sort(RandomStream(15).uniform01_block(2000))
         cdf = lambda xs: np.clip(0.5 - np.cos(xs) / np.sqrt(2), 0.0, 1.0)
         report = ks_test_1d(draws, cdf, alpha=0.01)
         assert report.statistic > 0.2
@@ -120,7 +120,7 @@ class TestKsTest:
             ks_test_1d(np.array([0.1, 0.2]), lambda x: x, alpha=0.10)
 
     def test_report_invariant(self):
-        samples = np.sort(make_stream(3).uniform01_block(500))
+        samples = np.sort(RandomStream(3).uniform01_block(500))
         report = ks_test_1d(samples, lambda x: x, alpha=0.05)
         assert report.passed == (report.statistic < report.threshold)
         assert report.kind == "ks"
