@@ -28,7 +28,7 @@ from .model import (
     validate_target,
 )
 from .samplers import BudgetExhausted, estimate_bound_argmax, grmc_sample, srmc_sample
-from .stats import GofReport, chi_square_box, ks_test_1d
+from .stats import GofReport, chi_square_bins, chi_square_box, ks_test_1d
 from .svgplot import scatter_svg
 
 SCHEMA_VERSION = 1
@@ -173,6 +173,8 @@ def _report_wall_time(ms: float) -> None:
 
 def _cmd_sample(args) -> int:
     variables, box = _parse_model_args(args)
+    if args.plot is not None and box.dims != 2:
+        raise _UsageError("--plot needs a 2-D model")
     seed, seed_text = _resolve_seed(args)
     field = ScalarField.from_text(args.density, variables)
 
@@ -210,8 +212,6 @@ def _cmd_sample(args) -> int:
     }
     _write_json(args.meta, payload)
     if args.plot is not None:
-        if box.dims != 2:
-            raise _UsageError("--plot needs a 2-D model")
         _write_text(args.plot, scatter_svg(batch.points, box, variables.names[:2]))
     _report_wall_time(meta.wall_time_ms)
     print(
@@ -263,11 +263,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_validate(args) -> int:
     variables, box = _parse_model_args(args)
-    seed, seed_text = _resolve_seed(args)
-    field = ScalarField.from_text(args.density, variables)
-    target = validate_target(field, box, args.bound_c)
-    batch = srmc_sample(target, args.n, seed)
-
+    # usage errors must surface before the sampling run, not after it
     if box.dims == 1:
         if args.cdf is None:
             raise _UsageError("1-D validation needs --cdf")
@@ -276,6 +272,14 @@ def _cmd_validate(args) -> int:
         def cdf(xs):
             return expression.evaluate_batch(cdf_node, xs.reshape(-1, 1))
 
+    else:
+        chi_square_bins(box.dims, args.bins)
+    seed, seed_text = _resolve_seed(args)
+    field = ScalarField.from_text(args.density, variables)
+    target = validate_target(field, box, args.bound_c)
+    batch = srmc_sample(target, args.n, seed)
+
+    if box.dims == 1:
         report = ks_test_1d(np.sort(batch.points[:, 0]), cdf, args.alpha)
     else:
         report = chi_square_box(batch, target, args.bins)

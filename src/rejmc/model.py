@@ -42,6 +42,7 @@ __all__ = [
     "build_piecewise_proposal",
     "bin_counts",
     "grid_reduce",
+    "check_grid_size",
     "MAX_GRID_POINTS",
 ]
 
@@ -296,6 +297,15 @@ def bin_counts(bins_per_dim: int | Sequence[int], dims: int) -> tuple[int, ...]:
     return bins
 
 
+def check_grid_size(counts: Sequence[int]) -> int:
+    """Points in a grid of ``counts`` points per axis. Raises ValueError for
+    more than 2^28, the check grid_reduce makes before evaluating anything."""
+    total = math.prod(counts)
+    if total > _GRID_LIMIT:
+        raise ValueError(f"grid of {total} points exceeds the limit of {_GRID_LIMIT} points")
+    return total
+
+
 def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.ndarray:
     """``reduce`` (np.max or np.sum) of ``field`` over each grid cell.
 
@@ -307,9 +317,7 @@ def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.
     extent one, which could reorder a cell's sum. Raises ValueError before
     evaluating anything for a grid of more than 2^28 points.
     """
-    total = math.prod(len(a) for a in axes)
-    if total > _GRID_LIMIT:
-        raise ValueError(f"grid of {total} points exceeds the limit of {_GRID_LIMIT} points")
+    total = check_grid_size([len(a) for a in axes])
     cells = [len(a) // per_cell for a in axes]
     step = max(1, _GRID_BLOCK // (total // cells[0]))
     cell_axes = tuple(range(1, 2 * len(axes), 2))

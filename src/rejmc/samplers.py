@@ -25,7 +25,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -90,20 +90,32 @@ def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = N
     """[fn(0), ..., fn(count - 1)], on up to ``workers`` threads.
 
     Runs serially in the caller's thread when at most one worker would be
-    busy. Otherwise the first failure cancels the calls not yet started, and
-    once the running calls end the first failure in index order is raised.
+    busy. Otherwise a call does not start once a call before it has failed,
+    and when the running calls end the first failure in index order is
+    raised.
     """
     nworkers = min(resolve_workers(workers), count)
     if nworkers <= 1:
         return [fn(i) for i in range(count)]
+    first_failed = count
+    lock = threading.Lock()
+
+    def guarded(i: int):
+        nonlocal first_failed
+        if i > first_failed:
+            return None
+        try:
+            return fn(i)
+        except BaseException:
+            with lock:
+                first_failed = min(first_failed, i)
+            raise
+
     with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for fut in futures:
-            fut.cancel()
-    # the pool starts calls in index order, so every call before the first
-    # cancelled one has run and a failure among them is found first
-    return [fut.result() for fut in futures if not fut.cancelled()]
+        futures = [pool.submit(guarded, i) for i in range(count)]
+    # a skipped call returns None and comes after a failed one, so this
+    # raises the first failure in index order
+    return [fut.result() for fut in futures]
 
 
 def estimate_bound_argmax(

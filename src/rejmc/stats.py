@@ -5,6 +5,10 @@ merge_summaries exposes the same merge for parallel reduction. The KS test
 uses the fixed asymptotic thresholds 1.358/sqrt(n) (alpha 0.05) and
 1.628/sqrt(n) (alpha 0.01); the box chi-square test compares observed cell
 counts against midpoint-quadrature cell masses of the target density.
+Its threshold is the 0.999 quantile of chi-square with dof degrees of
+freedom, computed as 2 * gammaincinv(dof / 2, 0.999): the formula of
+scipy.stats.chi2.ppf, bit for bit, without importing scipy.stats, which
+would dominate the command-line start-up time.
 """
 from __future__ import annotations
 
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import gammaincinv
 
-from .model import SampleBatch, TargetSpec, bin_counts, grid_reduce
+from .model import SampleBatch, TargetSpec, bin_counts, check_grid_size, grid_reduce
 
 __all__ = [
     "SummaryStats",
@@ -24,12 +28,14 @@ __all__ = [
     "merge_summaries",
     "ks_test_1d",
     "chi_square_box",
+    "chi_square_bins",
     "predicted_acceptance",
     "KS_THRESHOLDS",
 ]
 
 KS_THRESHOLDS = {0.05: 1.358, 0.01: 1.628}
 _CHI2_CONFIDENCE = 0.999
+_QUADRATURE_PER_DIM = 32
 _BLOCK_ROWS = 65536
 
 
@@ -191,12 +197,26 @@ def _merge_small_cells(
     return group_obs[roots], group_exp[roots]
 
 
+def chi_square_bins(
+    dims: int, bins_per_dim: int | Sequence[int], quadrature_per_dim: int = _QUADRATURE_PER_DIM
+) -> tuple[int, ...]:
+    """Bins per dimension for chi_square_box on a dims-D box.
+
+    Raises ValueError, as chi_square_box would, for bad bin counts or a
+    quadrature grid too large for grid_reduce, so a caller can check its
+    arguments before it samples.
+    """
+    bins = bin_counts(bins_per_dim, dims)
+    check_grid_size([b * quadrature_per_dim for b in bins])
+    return bins
+
+
 def chi_square_box(
     batch: SampleBatch | np.ndarray,
     target: TargetSpec,
     bins_per_dim: int | Sequence[int],
     *,
-    quadrature_per_dim: int = 32,
+    quadrature_per_dim: int = _QUADRATURE_PER_DIM,
 ) -> GofReport:
     """Chi-square test of a batch against its target on the support box.
 
@@ -206,7 +226,7 @@ def chi_square_box(
     """
     pts = _as_points(batch)
     box = target.support
-    bins = bin_counts(bins_per_dim, box.dims)
+    bins = chi_square_bins(box.dims, bins_per_dim, quadrature_per_dim)
 
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box.bounds, bins)]
     observed, _ = np.histogramdd(pts, bins=edges)
@@ -228,7 +248,7 @@ def chi_square_box(
         raise ValueError("fewer than two cells remain after merging; use fewer bins")
     statistic = float(np.sum((grouped_obs - grouped_exp) ** 2 / grouped_exp))
     dof = grouped_obs.size - 1
-    threshold = float(_chi2.ppf(_CHI2_CONFIDENCE, dof))
+    threshold = float(2 * gammaincinv(dof / 2, _CHI2_CONFIDENCE))
     return GofReport(
         kind="chi_square",
         statistic=statistic,

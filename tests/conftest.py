@@ -1,7 +1,10 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import rejmc
 from rejmc import Box, ScalarField, VarOrder
 
 # canonical test targets used across the suite
@@ -18,6 +21,18 @@ PRODUCT_INTEGRAND = "x*y"
 PARABOLA_REGION = "y^2 <= x and y >= 0 and y >= x - 2"
 PARABOLA_REGION_INTEGRAL = 6.0  # iterated integration: x from y^2 to y+2, y from 0 to 2
 PRODUCT_BOX_INTEGRAL = 16.0
+
+# A child process may run in another directory, where a relative PYTHONPATH
+# entry (e.g. PYTHONPATH=src) would no longer resolve. Put the absolute
+# import root of the rejmc under test first, keeping any existing entries.
+IMPORT_ROOT = str(Path(rejmc.__file__).resolve().parent.parent)
+
+
+def subprocess_env():
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT, inherited] if inherited else [IMPORT_ROOT])
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -8,7 +10,7 @@ import pytest
 
 import rejmc.cli as cli
 from rejmc import BudgetExhausted
-from conftest import GAUSS_DENSITY, SINE_CDF, SINE_DENSITY
+from conftest import GAUSS_DENSITY, SINE_CDF, SINE_DENSITY, subprocess_env
 
 SINE_BOX = "0.7853981633974483:2.356194490192345"
 
@@ -18,6 +20,14 @@ def run(args, tmp_path, monkeypatch, env=None):
     for key, value in (env or {}).items():
         monkeypatch.setenv(key, value)
     return cli.main(args)
+
+
+def refuse_sampling(monkeypatch):
+    def sampler_called(*args, **kwargs):
+        raise AssertionError("a usage error must be found before sampling")
+
+    monkeypatch.setattr(cli, "srmc_sample", sampler_called)
+    monkeypatch.setattr(cli, "grmc_sample", sampler_called)
 
 
 def sample_args(n=2000, seed="1", extra=()):
@@ -155,7 +165,9 @@ class TestSample:
         ).read_bytes()
 
     def test_plot_requires_2d(self, tmp_path, monkeypatch):
+        refuse_sampling(monkeypatch)
         assert run(sample_args(extra=["--plot", "p.svg"]), tmp_path, monkeypatch) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -204,6 +216,17 @@ class TestExitCodes:
         # the single chunk gives up at 2^24 proposals with nothing accepted
         assert "after 16777216 proposals with 0/10 accepted" in capsys.readouterr().err
 
+    def test_zero_acceptance_on_two_threads_starts_no_third_chunk(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        args = [
+            "sample", "--density", "(x >= 0.9999999999)", "--vars", "x", "--box", "0:1",
+            "--n", "100000",
+        ]
+        assert run(args, tmp_path, monkeypatch, env={"RMC_THREADS": "2"}) == 3
+        # chunks 0 and 1 each give up at 2^24 proposals; none of the other 23 starts
+        assert "after 33554432 proposals with 0/100000 accepted" in capsys.readouterr().err
+
     def test_validation_failure_exits_4(self, tmp_path, monkeypatch):
         # samples from the sine density tested against a uniform CDF
         args = [
@@ -243,11 +266,13 @@ class TestValidate:
         assert meta["gof"]["statistic"] < meta["gof"]["threshold"]
 
     def test_missing_cdf_for_1d(self, tmp_path, monkeypatch):
+        refuse_sampling(monkeypatch)
         args = [
             "validate", "--density", SINE_DENSITY, "--vars", "x", "--box", SINE_BOX,
             "--n", "100", "--seed", "11",
         ]
         assert run(args, tmp_path, monkeypatch) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_2d_chi_square_pass(self, tmp_path, monkeypatch):
         args = [
@@ -275,6 +300,7 @@ class TestValidate:
             "validate", "--density", "exp(-(x^2+y^2+z^2+w^2))", "--vars", "x,y,z,w",
             "--box", "-2:2,-2:2,-2:2,-2:2", "--n", "200", "--seed", "1",
         ]
+        refuse_sampling(monkeypatch)
         tracemalloc.start()
         try:
             code = run(args, tmp_path, monkeypatch)
@@ -283,6 +309,7 @@ class TestValidate:
             tracemalloc.stop()
         assert code == 1
         assert peak < 256 * 2**20
+        assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err
         assert f"grid of {256**4} points exceeds the limit of {1 << 28} points" in err
 
@@ -360,3 +387,18 @@ class TestBound:
         assert run(args, tmp_path, monkeypatch) == 0
         value = float(capsys.readouterr().out.split("bound = ")[1].split(" ")[0])
         assert value == 3.0
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs most of the start-up time of every command; the
+    # suite itself imports it, so the check runs in a fresh interpreter
+    code = "import sys, rejmc, rejmc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

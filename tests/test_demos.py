@@ -1,25 +1,12 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import rejmc
+from conftest import subprocess_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-
-# Each demo runs in a temporary directory, so a relative PYTHONPATH entry
-# (e.g. PYTHONPATH=src) would no longer resolve. Put the absolute import root
-# of the rejmc under test first, keeping any existing entries after it.
-IMPORT_ROOT = str(Path(rejmc.__file__).resolve().parent.parent)
-
-
-def _demo_env():
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT, inherited] if inherited else [IMPORT_ROOT])
-    return env
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -27,7 +14,7 @@ def test_demo_runs_clean(script, tmp_path):
     result = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
-        env=_demo_env(),
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=120,

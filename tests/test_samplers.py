@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -341,3 +342,50 @@ class TestOrderedMap:
         with pytest.raises(RuntimeError, match="boom"):
             ordered_map(fn, 50, workers=2)
         assert len(ran) < 50
+
+    def test_no_call_starts_after_a_failure(self):
+        # fn(1) is still running when fn(0) fails; the worker freed by the
+        # failure must not pick up fn(2), nor may fn(1)'s worker afterwards
+        lock = threading.Lock()
+        ran = []
+        zero_failed = threading.Event()
+
+        def fn(i):
+            with lock:
+                ran.append(i)
+            if i == 0:
+                zero_failed.set()
+                raise RuntimeError("boom")
+            if i == 1:
+                zero_failed.wait(5)
+                time.sleep(0.05)
+            return i
+
+        with pytest.raises(RuntimeError, match="boom"):
+            ordered_map(fn, 50, workers=2)
+        assert 0 in ran
+        assert len(ran) <= 2
+
+    def test_calls_before_the_first_failure_all_run_under_stress(self):
+        # later failures must never stop a call before the first one
+        failing = {37, 41, 42, 120}
+        lock = threading.Lock()
+        ran = set()
+
+        def fn(i):
+            with lock:
+                ran.add(i)
+            if i in failing:
+                raise ValueError(str(i))
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                ran.clear()
+                with pytest.raises(ValueError, match="^37$"):
+                    ordered_map(fn, 200, workers=8)
+                assert set(range(38)) <= ran
+        finally:
+            sys.setswitchinterval(interval)

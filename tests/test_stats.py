@@ -161,7 +161,17 @@ class TestChiSquareBox:
         target = validate_target(sine_field, sine_box, 1.1)
         batch = srmc_sample(target, 20_000, 17)
         report = chi_square_box(batch, target, 16)
-        assert report.threshold == pytest.approx(chi2.ppf(0.999, report.dof))
+        assert report.threshold == chi2.ppf(0.999, report.dof)
+
+    def test_gammaincinv_quantile_equals_chi2_ppf_bit_for_bit(self):
+        # the threshold formula is chi2.ppf's own, so run.json bytes match
+        from scipy.special import gammaincinv
+        from scipy.stats import chi2
+
+        dofs = np.arange(1, 20_001)
+        assert np.array_equal(2 * gammaincinv(dofs / 2, 0.999), chi2.ppf(0.999, dofs))
+        for dof in (1, 7, 255, 20_000, 65_535, 123_457, 999_999, 1_000_000):
+            assert float(2 * gammaincinv(dof / 2, 0.999)) == float(chi2.ppf(0.999, dof))
 
 
 class TestMergeRule:
