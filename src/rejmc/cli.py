@@ -152,9 +152,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, names, points: np.ndarray) -> None:
-    lines = [",".join(names)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in points)
-    _write_text(path, "\n".join(lines) + "\n")
+    # repr of a list spells each float as repr(float) does; formatting the
+    # whole list at once avoids a numpy scalar per value. Needs >= 1 row.
+    rows = repr(points.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
+    _write_text(path, ",".join(names) + "\n" + rows + "\n")
 
 
 def _gof_payload(report: GofReport) -> dict:

@@ -50,8 +50,8 @@ __all__ = [
 _VALIDATION_SEED = 0x56414C4944415445
 
 MAX_GRID_POINTS = 1 << 22
-# grid_reduce evaluates at most this many points at once (unless a single
-# leading-axis cell holds more) and refuses grids larger than the limit
+# grid_reduce evaluates at most this many points at once (unless the fewest
+# cells a slab may hold have more) and refuses grids larger than the limit
 _GRID_BLOCK = 1 << 20
 _GRID_LIMIT = 1 << 28
 
@@ -110,10 +110,6 @@ class Box:
     def volume(self) -> float:
         return math.prod(hi - lo for lo, hi in self.bounds)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-
 
 def box_from_text(text: str) -> Box:
     """Parse the CLI box syntax "lo:hi,lo:hi,..." (one pair per dimension)."""
@@ -152,9 +148,6 @@ class ScalarField:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return expression.evaluate_batch(self.expr, points)
-
-    def at(self, point: Sequence[float]) -> float:
-        return expression.evaluate(self.expr, point)
 
     def text(self) -> str:
         return expression.to_text(self.expr)
@@ -311,25 +304,32 @@ def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.
 
     ``axes[i]`` holds dimension i's coordinates, ``per_cell`` consecutive
     ones per cell. The grid is evaluated in C order, in slabs of whole
-    leading-axis cells of at most 2^20 points (or one such cell, if larger),
-    so each cell reduces bit-identically to a one-shot evaluation. A slab
-    never cuts a later axis: numpy merges reduced axes across kept axes of
-    extent one, which could reorder a cell's sum. Raises ValueError before
-    evaluating anything for a grid of more than 2^28 points.
+    cells of axis k, the first axis with more than one cell, of at most
+    2^20 points (or the fewest cells allowed, if larger), so each cell
+    reduces bit-identically to a one-shot evaluation. numpy merges reduced
+    axes across kept axes of extent one, which could reorder a cell's sum.
+    So a slab never cuts an axis after k, and when k > 0 it holds at least
+    two cells: one cell would merge the reduced axes on both sides of k.
+    Raises ValueError before evaluating anything for a grid of more than
+    2^28 points.
     """
     total = check_grid_size([len(a) for a in axes])
     cells = [len(a) // per_cell for a in axes]
-    step = max(1, _GRID_BLOCK // (total // cells[0]))
+    k = next((i for i, c in enumerate(cells) if c > 1), 0)
+    least = 1 if k == 0 else 2
+    cuts = list(range(0, cells[k], max(least, _GRID_BLOCK // (total // cells[k]))))
+    if cells[k] - cuts[-1] < least:
+        cuts.pop()
     cell_axes = tuple(range(1, 2 * len(axes), 2))
     out = []
-    for start in range(0, cells[0], step):
-        stop = min(start + step, cells[0])
-        lead = axes[0][start * per_cell : stop * per_cell]
-        mesh = np.meshgrid(lead, *axes[1:], indexing="ij")
+    for start, stop in zip(cuts, [*cuts[1:], cells[k]]):
+        part = list(axes)
+        part[k] = axes[k][start * per_cell : stop * per_cell]
+        mesh = np.meshgrid(*part, indexing="ij")
         vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
-        shape = (stop - start, per_cell, *(x for c in cells[1:] for x in (c, per_cell)))
+        shape = tuple(x for a in part for x in (len(a) // per_cell, per_cell))
         out.append(reduce(vals.reshape(shape), axis=cell_axes))
-    return np.concatenate(out)
+    return np.concatenate(out, axis=k)
 
 
 @dataclass(frozen=True, eq=False)

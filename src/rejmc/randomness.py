@@ -104,7 +104,27 @@ def uniform_box_block(stream: RandomStream, box, count: int) -> np.ndarray:
     """``count`` points uniform on ``box`` as a (count, dims) matrix.
 
     Consumes count*dims draws in the same order as repeated uniform_box.
+    The matrix is column-major (see scale_to_box): it is filled one column
+    at a time, and evaluation reads each variable's column contiguously.
     """
     d = box.dims
     u = stream.uniform01_block(count * d).reshape(count, d)
-    return box.lower + u * box.widths
+    return scale_to_box(u, box.lower, box.widths)
+
+
+def scale_to_box(u: np.ndarray, lower: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``lower + u[:, :d] * widths`` for d = len(widths), bit for bit.
+
+    ``lower`` is a (d,) corner or one (n, d) corner per row. The result is a
+    column-major (n, d) array, filled one column at a time: the broadcast
+    runs a length-d inner loop per row, several times slower for small d,
+    and an expression reads each variable's column contiguously. Row
+    selections such as ``pts[rows]`` come back C-contiguous.
+    """
+    d = len(widths)
+    pts = np.empty((d, u.shape[0])).T
+    for i in range(d):
+        # the same IEEE multiply and add as the broadcast, so equal bits
+        np.multiply(u[:, i], widths[i], out=pts[:, i])
+        pts[:, i] += lower[..., i]
+    return pts

@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField
 from .model import TargetSpec, grid_reduce
-from .randomness import RandomStream, capture_seed, substream
+from .randomness import RandomStream, capture_seed, scale_to_box, substream
 
 __all__ = [
     "estimate_bound_argmax",
@@ -295,7 +295,7 @@ def srmc_sample(
 
     def propose_and_test(local: RandomStream, batch: int):
         u = local.uniform01_block(batch * (d + 1)).reshape(batch, d + 1)
-        pts = lower + u[:, :d] * widths
+        pts = scale_to_box(u, lower, widths)
         y = c * u[:, d]
         return pts, field(pts) > y
 
@@ -334,7 +334,7 @@ def grmc_sample(
 
         def propose_and_test(local: RandomStream, batch: int):
             u = local.uniform01_block(batch * (d + 1)).reshape(batch, d + 1)
-            pts = lower + u[:, :d] * widths
+            pts = scale_to_box(u, lower, widths)
             return pts, field(pts) / h0 >= u[:, d]
 
     else:
@@ -343,7 +343,7 @@ def grmc_sample(
             u = local.uniform01_block(batch * (d + 2)).reshape(batch, d + 2)
             cells = positive[np.searchsorted(cum, u[:, 0], side="right")]
             lows = proposal.cell_lower(cells)
-            pts = lows + u[:, 1 : d + 1] * cell_widths
+            pts = scale_to_box(u[:, 1:], lows, cell_widths)
             return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume

@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps rejmc functions by (module, attribute)
 and swaps the samplers' pool class; an API change that drops one of them
-breaks ``bench/run.py --trace 1``. bench/ is not on the test path, so the
-tracer is loaded here by file location."""
+breaks ``bench/run.py --trace 1``. bench/ is not a package, so the tracer
+is loaded here by file location."""
 import concurrent.futures
 import importlib
 import importlib.util

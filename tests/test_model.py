@@ -39,11 +39,6 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(bounds)
 
-    def test_contains(self):
-        box = Box([(0, 1), (0, 1)])
-        inside = box.contains(np.array([[0.5, 0.5], [2.0, 0.5]]))
-        assert inside.tolist() == [True, False]
-
     def test_from_text(self):
         box = box_from_text("0:4,0:2")
         assert box.bounds == ((0.0, 4.0), (0.0, 2.0))
@@ -63,8 +58,7 @@ class TestScalarField:
         with pytest.raises(ValueError, match="undeclared"):
             ScalarField(ast, VarOrder(["x"]))
 
-    def test_call_and_at(self, sine_field):
-        assert sine_field.at((math.pi / 2,)) == pytest.approx(1 / math.sqrt(2))
+    def test_call(self, sine_field):
         pts = np.array([[math.pi / 2], [math.pi / 4]])
         vals = sine_field(pts)
         assert vals[0] == pytest.approx(1 / math.sqrt(2))
@@ -98,7 +92,7 @@ class TestValidateTarget:
         assert err.value.value > 0.1
         assert err.value.point.shape == (2,)
         # the reported violation is real
-        assert gauss_field.at(err.value.point) == pytest.approx(err.value.value)
+        assert gauss_field(err.value.point[None, :])[0] == pytest.approx(err.value.value)
 
     def test_bound_estimated_when_absent(self, sine_field, sine_box):
         target = validate_target(sine_field, sine_box)
@@ -215,16 +209,39 @@ class TestGridReduce:
             VarOrder(list(names)),
         )
         rng = np.random.default_rng(dims)
-        per_cell = 3
-        for bins in itertools.product([1, 3], repeat=dims):
-            axes = [np.sort(rng.uniform(-2.0, 2.0, b * per_cell)) for b in bins]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
-            shaped = vals.reshape(tuple(x for b in bins for x in (b, per_cell)))
-            want = reduce(shaped, axis=tuple(range(1, 2 * dims, 2)))
-            got = model.grid_reduce(field, axes, per_cell, reduce)
-            assert got.shape == bins
-            assert np.array_equal(got, want), bins
+        # leading axes of one cell move the slabs to a later axis; 5 cells
+        # there make slabs of 2 and 3 cells; 9 points per cell sum pairwise
+        for per_cell in (3, 9) if dims < 4 else (3,):
+            for bins in itertools.product([1, 3, 5], repeat=dims):
+                axes = [np.sort(rng.uniform(-2.0, 2.0, b * per_cell)) for b in bins]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
+                shaped = vals.reshape(tuple(x for b in bins for x in (b, per_cell)))
+                want = reduce(shaped, axis=tuple(range(1, 2 * dims, 2)))
+                got = model.grid_reduce(field, axes, per_cell, reduce)
+                assert got.shape == bins
+                assert np.array_equal(got, want), (per_cell, bins)
+
+    def test_one_cell_leading_axis_is_evaluated_in_slabs(self, monkeypatch):
+        field = ScalarField.from_text("exp(-(x^2 + y^2 + z^2))", VarOrder(["x", "y", "z"]))
+        box = Box([(-2, 2)] * 3)
+        calls = []
+        evaluate = ScalarField.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        # 9 refined points per cell and axis: 9 * 576 * 576 grid points
+        got = build_piecewise_proposal(field, box, [1, 64, 64]).heights
+        assert sum(calls) == 9 * 576 * 576
+        assert len(calls) > 1 and max(calls) <= 1 << 20
+        monkeypatch.setattr(model, "_GRID_BLOCK", 1 << 22)
+        calls.clear()
+        want = build_piecewise_proposal(field, box, [1, 64, 64]).heights
+        assert len(calls) == 1
+        assert np.array_equal(got, want)
 
     def test_oversized_grid_refused_before_evaluation(self):
         def never(points):
