@@ -38,6 +38,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_batch",
+    "Grid",
     "free_vars",
     "to_text",
     "Num",
@@ -351,19 +352,19 @@ def free_vars(node: Node) -> set[str]:
     return out
 
 
-def _eval(node: Node, pts: np.ndarray):
+def _eval(node: Node, cols: Sequence[np.ndarray]):
     match node:
         case Num(value=v):
             return np.float64(v)
         case Const(name=name):
             return np.float64(CONSTANTS[name])
         case Var(index=index):
-            return pts[:, index]
+            return cols[index]
         case Neg(operand=op):
-            return -_eval(op, pts)
+            return -_eval(op, cols)
         case BinOp(op=op, left=left, right=right):
-            a = _eval(left, pts)
-            b = _eval(right, pts)
+            a = _eval(left, cols)
+            b = _eval(right, cols)
             if op == "+":
                 return a + b
             if op == "-":
@@ -381,7 +382,7 @@ def _eval(node: Node, pts: np.ndarray):
                 raise EvalError("negative base with non-integer exponent", node)
             return out
         case Call(func=func, args=args):
-            vals = [_eval(arg, pts) for arg in args]
+            vals = [_eval(arg, cols) for arg in args]
             if func == "log":
                 if np.any(vals[0] <= 0.0):
                     raise EvalError("log of a nonpositive value", node)
@@ -398,36 +399,71 @@ def _eval(node: Node, pts: np.ndarray):
                 func
             ](vals[0])
         case Rel(op=op, left=left, right=right):
-            a = _eval(left, pts)
-            b = _eval(right, pts)
+            a = _eval(left, cols)
+            b = _eval(right, cols)
             cmp = {"<=": np.less_equal, ">=": np.greater_equal, "<": np.less, ">": np.greater}[
                 op
             ](a, b)
             return np.multiply(cmp, 1.0)
         case And(terms=terms):
-            out = _eval(terms[0], pts)
+            out = _eval(terms[0], cols)
             for term in terms[1:]:
-                out = out * _eval(term, pts)
+                out = out * _eval(term, cols)
             return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate_batch(node: Node, points: np.ndarray) -> np.ndarray:
-    """Evaluate at each row of ``points`` (shape (n, d)); returns shape (n,).
+class Grid:
+    """Every point of a regular grid, in C order: point (i_0, ..., i_{d-1})
+    has coordinate ``axes[k][i_k]`` on axis k.
+
+    ``len(grid)`` is the number of points and ``grid.shape`` the axis
+    lengths. evaluate_batch never builds the (len, d) coordinate matrix: it
+    reads axis k as an array of extent 1 on every other axis and lets
+    broadcasting form the grid, so a term of one variable is computed once
+    per axis value.
+    """
+
+    def __init__(self, axes: Sequence[np.ndarray]):
+        self.shape = tuple(len(a) for a in axes)
+        d = len(self.shape)
+        self.columns = [
+            np.asarray(a, dtype=np.float64).reshape([-1 if i == k else 1 for i in range(d)])
+            for k, a in enumerate(axes)
+        ]
+        if 0 in self.shape:
+            # no point has a value on the other axes, just as with zero rows
+            self.columns = [np.empty(self.shape)] * d
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+
+def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
+    """Evaluate at each row of ``points`` (shape (n, d)), returning shape
+    (n,), or at each point of a Grid, returning shape ``grid.shape``. The
+    result is C-contiguous and holds, bit for bit, the values of the same
+    points given as rows.
 
     Raises EvalError on any domain fault; never returns NaN.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be a 2-D matrix, got shape {pts.shape}")
+    if isinstance(points, Grid):
+        shape, cols = points.shape, points.columns
+    else:
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ValueError(f"points must be a 2-D matrix, got shape {pts.shape}")
+        shape, cols = pts.shape[:1], [pts[:, i] for i in range(pts.shape[1])]
     with np.errstate(all="ignore"):
-        out = _eval(node, pts)
+        out = _eval(node, cols)
     if np.any(np.isnan(out)):
         raise EvalError("evaluation produced NaN", node)
     out = np.asarray(out, dtype=np.float64)
-    if out.ndim == 0:
-        return np.full(pts.shape[0], float(out))
-    return out
+    if out.shape != shape:
+        # a constant, or a grid expression that omits a variable; copy, as
+        # ascontiguousarray would return a read-only view when one point
+        return np.broadcast_to(out, shape).copy()
+    return np.ascontiguousarray(out)
 
 
 def evaluate(node: Node, point: Sequence[float] = ()) -> float:

@@ -325,8 +325,7 @@ def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.
     for start, stop in zip(cuts, [*cuts[1:], cells[k]]):
         part = list(axes)
         part[k] = axes[k][start * per_cell : stop * per_cell]
-        mesh = np.meshgrid(*part, indexing="ij")
-        vals = field(np.stack([m.ravel() for m in mesh], axis=-1))
+        vals = field(expression.Grid(part))
         shape = tuple(x for a in part for x in (len(a) // per_cell, per_cell))
         out.append(reduce(vals.reshape(shape), axis=cell_axes))
     return np.concatenate(out, axis=k)
@@ -354,11 +353,20 @@ class PiecewiseUniformProposal:
     def masses(self) -> np.ndarray:
         return self.heights * self.cell_volume
 
-    def cell_lower(self, flat_index: np.ndarray) -> np.ndarray:
-        """Lower corner of each flat (C-order) cell index; shape (k, dims)."""
+    def cell_lower(self, flat_index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Lower corner of each flat (C-order) cell index; shape (k, dims).
+
+        Equals ``box.lower + index * cell_widths`` bit for bit, computed one
+        column at a time into ``out`` (by default a new column-major array).
+        """
         idx = np.unravel_index(np.asarray(flat_index), self.bins)
-        steps = self.box.widths / np.asarray(self.bins, dtype=np.float64)
-        return self.box.lower + np.stack(idx, axis=-1) * steps
+        steps = self.cell_widths
+        if out is None:
+            out = np.empty((len(idx), len(idx[0]))).T
+        for i, col in enumerate(idx):
+            np.multiply(col, steps[i], out=out[:, i])
+            out[:, i] += self.box.lower[i]
+        return out
 
     @property
     def cell_widths(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField
-from .model import TargetSpec, grid_reduce
+from .model import TargetSpec, check_grid_size, grid_reduce
 from .randomness import RandomStream, capture_seed, scale_to_box, substream
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 CHUNK_ACCEPTS = 4096
 PROGRESS_INTERVAL = 1 << 16
 _MAX_BATCH = 1 << 17
-_MAX_GRID_TOTAL = 1 << 22
 # a chunk with no acceptance after this many proposals fails: at the budget's
 # floor rate of 1e-6, zero accepts that late has probability e^-16.8
 _ZERO_ACCEPT_LIMIT = 1 << 24
@@ -127,10 +126,7 @@ def estimate_bound_argmax(
         raise ValueError("grid_per_dim must be at least 2")
     if safety < 1.0:
         raise ValueError("safety factor must be at least 1")
-    if grid_per_dim**box.dims > _MAX_GRID_TOTAL:
-        raise ValueError(
-            f"grid of {grid_per_dim}^{box.dims} points exceeds the {_MAX_GRID_TOTAL} limit"
-        )
+    check_grid_size([grid_per_dim] * box.dims)
     axes = [np.linspace(lo, hi, grid_per_dim) for lo, hi in box.bounds]
     vals = grid_reduce(field, axes, 1, np.max)
     at = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -170,6 +166,34 @@ class _Progress:
 
 class _ChunkBudgetExceeded(Exception):
     pass
+
+
+class _Workspace(threading.local):
+    """Reusable float64 buffers of one sampling run, one set per thread.
+
+    A propose-and-test call fills its arrays here instead of allocating them
+    per batch. That is safe because a chunk runs on one thread and
+    _run_chunk copies the accepted rows before the next batch. The buffers
+    are freed with the run's closures.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name: str, size: int) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size]
+
+    def uniforms(self, local: RandomStream, batch: int, width: int) -> np.ndarray:
+        """A (batch, width) block of fresh uniforms."""
+        u = self.take("u", batch * width)
+        return local.uniform01_block(batch * width, out=u).reshape(batch, width)
+
+    def columns(self, name: str, batch: int, d: int) -> np.ndarray:
+        """A column-major (batch, d) array."""
+        return self.take(name, batch * d).reshape(d, batch).T
 
 
 def _next_batch_size(target: int, accepted: int, proposed: int) -> int:
@@ -292,10 +316,11 @@ def srmc_sample(
     d = box.dims
     lower, widths = box.lower, box.widths
     field, c = target.field, target.bound_c
+    ws = _Workspace()
 
     def propose_and_test(local: RandomStream, batch: int):
-        u = local.uniform01_block(batch * (d + 1)).reshape(batch, d + 1)
-        pts = scale_to_box(u, lower, widths)
+        u = ws.uniforms(local, batch, d + 1)
+        pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
         y = c * u[:, d]
         return pts, field(pts) > y
 
@@ -327,23 +352,24 @@ def grmc_sample(
     cum = proposal.cumulative
     positive = proposal.positive_cells
     heights_flat = proposal.heights.ravel()
+    ws = _Workspace()
 
     if single_cell:
         h0 = float(heights_flat[0])
         lower, widths = box.lower, box.widths
 
         def propose_and_test(local: RandomStream, batch: int):
-            u = local.uniform01_block(batch * (d + 1)).reshape(batch, d + 1)
-            pts = scale_to_box(u, lower, widths)
+            u = ws.uniforms(local, batch, d + 1)
+            pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
             return pts, field(pts) / h0 >= u[:, d]
 
     else:
 
         def propose_and_test(local: RandomStream, batch: int):
-            u = local.uniform01_block(batch * (d + 2)).reshape(batch, d + 2)
+            u = ws.uniforms(local, batch, d + 2)
             cells = positive[np.searchsorted(cum, u[:, 0], side="right")]
-            lows = proposal.cell_lower(cells)
-            pts = scale_to_box(u[:, 1:], lows, cell_widths)
+            lows = proposal.cell_lower(cells, out=ws.columns("lows", batch, d))
+            pts = scale_to_box(u[:, 1:], lows, cell_widths, out=ws.columns("pts", batch, d))
             return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume

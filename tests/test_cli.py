@@ -9,8 +9,8 @@ import tracemalloc
 import pytest
 
 import rejmc.cli as cli
-from rejmc import BudgetExhausted
-from conftest import GAUSS_DENSITY, SINE_CDF, SINE_DENSITY, subprocess_env
+from rejmc import BudgetExhausted, ScalarField
+from conftest import GAUSS_DENSITY, GAUSS_MAX, SINE_CDF, SINE_DENSITY, subprocess_env
 
 SINE_BOX = "0.7853981633974483:2.356194490192345"
 
@@ -387,6 +387,38 @@ class TestBound:
         assert run(args, tmp_path, monkeypatch) == 0
         value = float(capsys.readouterr().out.split("bound = ")[1].split(" ")[0])
         assert value == 3.0
+
+    def test_grid_of_nine_million_points_runs_in_slabs(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        evaluate = ScalarField.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        args = [
+            "bound", "--density", GAUSS_DENSITY, "--vars", "x,y", "--box", "-5:5,-5:5",
+            "--grid", "3000",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 0
+        assert sum(calls) == 3000**2
+        assert len(calls) > 1 and max(calls) <= 1 << 20
+        value = float(capsys.readouterr().out.split("bound = ")[1].split(" ")[0])
+        assert value == pytest.approx(GAUSS_MAX, rel=1e-5)
+
+    def test_grid_over_the_limit_refused_before_evaluation(self, tmp_path, monkeypatch, capsys):
+        def never(self, points):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(ScalarField, "__call__", never)
+        args = [
+            "bound", "--density", GAUSS_DENSITY, "--vars", "x,y", "--box", "-5:5,-5:5",
+            "--grid", "16385",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert f"grid of {16385**2} points exceeds the limit of {1 << 28} points" in err
 
 
 def test_import_loads_no_scipy_stats():

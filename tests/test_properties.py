@@ -2,21 +2,24 @@
 
 Each property compares a rewritten path against the straightforward code it
 replaced, kept here as the reference: box scaling against the numpy
-broadcast, the CSV and SVG writers against per-value formatting, and the
-samplers against their own output under another batch schedule.
+broadcast, grid evaluation against the meshgrid matrix, the piecewise
+generator against the one-shot splitmix64 formula, the CSV and SVG writers
+against per-value formatting, and the samplers against their own output
+under another batch schedule.
 """
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rejmc.cli as cli
-from rejmc import Box, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
-from rejmc import samplers, srmc_sample, svgplot, validate_target
-from rejmc.randomness import scale_to_box
+from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
+from rejmc import evaluate_batch, parse, samplers, srmc_sample, svgplot, to_text, validate_target
+from rejmc.expression import And, BinOp, Call, Const, Grid, Neg, Num, Rel, Var
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, scale_to_box
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # widths from subnormal-tiny to near the float range, corners of either sign
@@ -65,6 +68,132 @@ def test_column_major_points_evaluate_bit_for_bit(d, n, seed):
     lower, w = np.full(d, 0.5), np.full(d, 1.0)
     col = scale_to_box(u, lower, w)
     assert np.array_equal(bits(field(col)), bits(field(np.ascontiguousarray(col))))
+
+
+NAMES = ("x", "y", "z")
+FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "min", "max"]
+
+
+def asts(d: int):
+    """Expression trees over the first d of x, y, z, in the form parse
+    gives: literals are nonnegative (a sign is a Neg), and the terms of an
+    'and' are comparisons (parse flattens a nested 'and')."""
+    leaves = st.one_of(
+        st.builds(Num, st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+        st.builds(Const, st.sampled_from(["pi", "e"])),
+        st.integers(0, d - 1).map(lambda i: Var(NAMES[i], i)),
+    )
+
+    def extend(sub):
+        rel = st.builds(Rel, st.sampled_from(["<=", ">=", "<", ">"]), sub, sub)
+        call = st.sampled_from(FUNCS).flatmap(
+            lambda f: st.tuples(*[sub] * (2 if f in ("min", "max") else 1)).map(
+                lambda args: Call(f, args)
+            )
+        )
+        return st.one_of(
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+            call,
+            rel,
+            st.lists(rel, min_size=2, max_size=3).map(lambda terms: And(tuple(terms))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), asts(d))))
+def test_render_parse_round_trip(case):
+    d, ast = case
+    assert parse(to_text(ast), NAMES[:d]) == ast
+
+
+def outcome(fn):
+    """("ok", shape, result bits) or ("error", failing node, message)."""
+    try:
+        out = fn()
+    except EvalError as exc:
+        return ("error", exc.node, str(exc))
+    assert out.flags.c_contiguous and out.flags.writeable
+    return ("ok", out.shape, bits(out).tobytes())
+
+
+# zeros, negatives and huge values make every domain fault reachable
+coords = st.sampled_from([0.0, -0.0, -1.0, 0.5, 2.0, -2.5, 1e-300, 700.0]) | st.floats(-10, 10)
+
+
+@st.composite
+def grid_cases(draw):
+    d = draw(st.integers(1, 3))
+    axes = [draw(arrays(np.float64, draw(st.integers(1, 5)), elements=coords)) for _ in range(d)]
+    return draw(asts(d)), axes
+
+
+def _case(text, axes):
+    return parse(text, NAMES[: len(axes)]), [np.array(a, dtype=np.float64) for a in axes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+@example(_case("3", [[1.0, 2.0], [0.5]]))
+@example(_case("y", [[1.0, 2.0], [0.5, 3.0], [4.0]]))
+@example(_case("x < 1 and y > 0 and z <= 2", [[0.0, 1.0, 2.0], [-1.0, 1.0], [2.0, 3.0]]))
+@example(_case("log(x - y) + sqrt(z)", [[1.0, 2.0], [0.5, 1.0], [4.0]]))
+@example(_case("1 / (x - 1) + y", [[0.0, 1.0], [2.0]]))
+@example(_case("log(y) + 1 / x", [[0.0], []]))
+@example(_case("0^-x", [[1.0, 2.0]]))
+@example(_case("(-y)^x", [[0.5, 2.0], [1.0]]))
+@example(_case("exp(x) - exp(y)", [[700.0, 800.0], [800.0]]))
+def test_grid_evaluation_equals_meshgrid_matrix(case):
+    ast, axes = case
+    grid = Grid(axes)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    matrix = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert len(grid) == len(matrix) and grid.shape == tuple(len(a) for a in axes)
+
+    def reshaped():
+        return evaluate_batch(ast, matrix).reshape(grid.shape)
+
+    assert outcome(lambda: evaluate_batch(ast, grid)) == outcome(reshaped)
+
+
+WORD_COUNTS = [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]
+# states whose counter passes a multiple of 2^64, within 2, at some word
+# j of the block, in any piece
+near_wrap = st.tuples(st.integers(0, 3 * 2**16 + 6), st.integers(-2, 2)).map(
+    lambda t: (t[1] - t[0] * GOLDEN_GAMMA) & MASK64
+)
+
+
+def one_shot_words(state: int, count: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        z = np.uint64(state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, MASK64) | near_wrap | st.sampled_from([0, MASK64]),
+    st.sampled_from(WORD_COUNTS),
+    st.booleans(),
+)
+def test_piecewise_generator_equals_one_shot_formula(state, count, into_out):
+    want = one_shot_words(state, count)
+    advanced = (state + count * GOLDEN_GAMMA) & MASK64
+
+    words, stream = np.full(count, 7, dtype=np.uint64), RandomStream(state)
+    got = stream.next_u64_block(count, words if into_out else None)
+    assert np.array_equal(got, want) and stream.state == advanced
+    assert got is words if into_out else got.dtype == np.uint64
+
+    draws, stream = np.full(count, 0.25), RandomStream(state)
+    got = stream.uniform01_block(count, draws if into_out else None)
+    assert np.array_equal(bits(got), bits((want >> np.uint64(11)).astype(np.float64) * 2.0**-53))
+    assert stream.state == advanced
+    assert got is draws if into_out else got.dtype == np.float64
 
 
 special = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, -1.5e-7, 0.1, 1e300, math.inf])

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from rejmc import samplers
 from rejmc import (
     Box,
     BudgetExhausted,
@@ -54,8 +55,9 @@ class TestEstimateBound:
             estimate_bound_argmax(sine_field, sine_box, 1)[0]
         with pytest.raises(ValueError):
             estimate_bound_argmax(sine_field, sine_box, 10, safety=0.5)[0]
-        with pytest.raises(ValueError):
-            estimate_bound_argmax(gauss_field, gauss_box, 3000)[0]
+        # 16385^2 points is over the 2^28 limit of check_grid_size
+        with pytest.raises(ValueError, match="268468225 points exceeds the limit"):
+            estimate_bound_argmax(gauss_field, gauss_box, 16385)[0]
 
     def test_domain_fault_at_grid_point(self):
         from rejmc import EvalError
@@ -236,6 +238,47 @@ class TestGrmc:
         batch = grmc_sample(sine_field, prop, 200, 321)
         assert np.array_equal(batch.points, np.asarray(accepted))
         assert batch.meta.proposals_drawn == proposals
+
+
+class TestWorkspace:
+    @pytest.fixture
+    def proposers(self, monkeypatch, sine_target, gauss_field, gauss_box):
+        # each sampler hands _run_chunked its propose-and-test closure
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, d, stream, propose, *rest: propose)
+        multi = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
+        single = build_piecewise_proposal(gauss_field, gauss_box, 1)
+        return {
+            "srmc": srmc_sample(sine_target, 10, 1),
+            "grmc": grmc_sample(gauss_field, multi, 10, 1),
+            "grmc_one_cell": grmc_sample(gauss_field, single, 10, 1),
+        }
+
+    @pytest.mark.parametrize("kind", ["srmc", "grmc", "grmc_one_cell"])
+    def test_batches_reuse_one_workspace_per_thread(self, proposers, kind):
+        propose = proposers[kind]
+        first, _ = propose(RandomStream(1), 1000)
+        want = first.copy()
+        second, _ = propose(RandomStream(2), 500)
+        assert np.shares_memory(first, second)
+        elsewhere = []
+        thread = threading.Thread(
+            target=lambda: elsewhere.append(propose(RandomStream(1), 1000)[0])
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not np.shares_memory(elsewhere[0], second)
+        assert np.array_equal(elsewhere[0], want)
+
+    def test_workers_do_not_change_output(self, sine_target, gauss_field, gauss_box):
+        multi = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
+        for sample in (
+            lambda w: srmc_sample(sine_target, 10_000, 77, workers=w),
+            lambda w: grmc_sample(gauss_field, multi, 10_000, 77, workers=w),
+        ):
+            one, two = sample(1), sample(2)
+            assert np.array_equal(one.points, two.points)
+            assert one.meta.proposals_drawn == two.meta.proposals_drawn
 
 
 class TestBudget:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ class TestChiSquareBox:
         report = chi_square_box(clumped, target, 8)
         assert not report.passed
         assert report.dof == 7  # no merging: expected 125 per cell
+
+    def test_quadrature_memory_is_bounded(self):
+        # the README-style 3-D validate: 192^3 quadrature points at 6 bins;
+        # their (N, 3) coordinate matrix alone would take 170 MB
+        field = ScalarField.from_text(
+            "exp(-2*(x^2+y^2+z^2)) * (1 + cos(3*x)*cos(3*y)*sin(2*z+1))",
+            VarOrder(["x", "y", "z"]),
+        )
+        target = validate_target(field, Box([(-3, 3)] * 3), 2.0)
+        batch = srmc_sample(target, 2000, 5)
+        tracemalloc.start()
+        try:
+            report = chi_square_box(batch, target, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 64 * 2**20
 
     def test_threshold_is_999_quantile(self, sine_field, sine_box):
         from scipy.stats import chi2
