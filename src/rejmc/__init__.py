@@ -5,7 +5,6 @@ from .expression import (
     EvalError,
     ParseError,
     VarOrder,
-    evaluate,
     evaluate_batch,
     free_vars,
     parse,
@@ -55,7 +54,6 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
-    "evaluate",
     "evaluate_batch",
     "free_vars",
     "to_text",

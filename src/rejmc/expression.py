@@ -18,9 +18,10 @@ indicator values of its operands, which must be comparisons. pi and e are
 reserved constants and may not be declared as variables.
 
 ASTs are immutable after parse; evaluation is pure and reentrant. Domain
-faults (log of a nonpositive value, sqrt of a negative, division by zero,
-zero to a negative power, or anything else that would produce NaN) raise
-EvalError instead of propagating NaN.
+faults (division by zero, zero to a negative power, log of a nonpositive
+value, sqrt of a negative value, a negative base with a non-integer
+exponent, or anything else that would produce NaN) raise EvalError instead of
+propagating NaN.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse",
-    "evaluate",
     "evaluate_batch",
     "Grid",
     "free_vars",
@@ -52,16 +52,35 @@ __all__ = [
 ]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTION_ARITY = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
+# every binary operator, comparison and function, by its name in the grammar
+_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+    "<=": np.less_equal,
+    ">=": np.greater_equal,
+    "<": np.less,
+    ">": np.greater,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+FUNCTION_ARITY = {name: f.nin for name, f in _UFUNCS.items() if name.isidentifier()}
+# operands a name refuses before its ufunc runs; kept in step with the
+# domain faults listed in the module docstring
+_FAULTS = {
+    "/": (lambda a, b: b == 0.0, "division by zero"),
+    "^": (lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
+    "log": (lambda a: a <= 0.0, "log of a nonpositive value"),
+    "sqrt": (lambda a: a < 0.0, "sqrt of a negative value"),
 }
 _KEYWORDS = {"and"} | set(CONSTANTS) | set(FUNCTION_ARITY)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -360,57 +379,27 @@ def _eval(node: Node, cols: Sequence[np.ndarray]):
             return np.float64(CONSTANTS[name])
         case Var(index=index):
             return cols[index]
-        case Neg(operand=op):
-            return -_eval(op, cols)
-        case BinOp(op=op, left=left, right=right):
-            a = _eval(left, cols)
-            b = _eval(right, cols)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if np.any(b == 0.0):
-                    raise EvalError("division by zero", node)
-                return a / b
-            if np.any((a == 0.0) & (b < 0.0)):
-                raise EvalError("zero raised to a negative power", node)
-            out = np.power(a, b)
-            if np.any(np.isnan(out)):
-                raise EvalError("negative base with non-integer exponent", node)
-            return out
-        case Call(func=func, args=args):
-            vals = [_eval(arg, cols) for arg in args]
-            if func == "log":
-                if np.any(vals[0] <= 0.0):
-                    raise EvalError("log of a nonpositive value", node)
-                return np.log(vals[0])
-            if func == "sqrt":
-                if np.any(vals[0] < 0.0):
-                    raise EvalError("sqrt of a negative value", node)
-                return np.sqrt(vals[0])
-            if func == "min":
-                return np.minimum(vals[0], vals[1])
-            if func == "max":
-                return np.maximum(vals[0], vals[1])
-            return {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "abs": np.abs}[
-                func
-            ](vals[0])
-        case Rel(op=op, left=left, right=right):
-            a = _eval(left, cols)
-            b = _eval(right, cols)
-            cmp = {"<=": np.less_equal, ">=": np.greater_equal, "<": np.less, ">": np.greater}[
-                op
-            ](a, b)
-            return np.multiply(cmp, 1.0)
+        case Neg(operand=operand):
+            return -_eval(operand, cols)
         case And(terms=terms):
             out = _eval(terms[0], cols)
             for term in terms[1:]:
                 out = out * _eval(term, cols)
             return out
-    raise TypeError(f"not an expression node: {node!r}")
+        case BinOp(op=op, left=left, right=right) | Rel(op=op, left=left, right=right):
+            args = (_eval(left, cols), _eval(right, cols))
+        case Call(func=op, args=nodes):
+            args = [_eval(arg, cols) for arg in nodes]
+        case _:
+            raise TypeError(f"not an expression node: {node!r}")
+    fault = _FAULTS.get(op)
+    if fault is not None and np.any(fault[0](*args)):
+        raise EvalError(fault[1], node)
+    out = _UFUNCS[op](*args)
+    if op == "^" and np.any(np.isnan(out)):
+        raise EvalError("negative base with non-integer exponent", node)
+    # a comparison yields exactly 1.0 or 0.0
+    return np.multiply(out, 1.0) if isinstance(node, Rel) else out
 
 
 class Grid:
@@ -466,36 +455,13 @@ def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def evaluate(node: Node, point: Sequence[float] = ()) -> float:
-    """Evaluate at a single point (ordered by the declared variables)."""
-    pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
-    return float(evaluate_batch(node, pts)[0])
-
-
-_PREC_AND = 1
-_PREC_REL = 2
-_PREC_ADD = 3
-_PREC_MUL = 4
-_PREC_NEG = 5
-_PREC_POW = 6
-_PREC_ATOM = 10
+# binding strength of a BinOp by its operator, of any other node by its
+# class; a node not listed is an atom
+_PREC = {And: 1, Rel: 2, "+": 3, "-": 3, "*": 4, "/": 4, Neg: 5, "^": 6}
 
 
 def _prec(node: Node) -> int:
-    match node:
-        case And():
-            return _PREC_AND
-        case Rel():
-            return _PREC_REL
-        case BinOp(op="+") | BinOp(op="-"):
-            return _PREC_ADD
-        case BinOp(op="*") | BinOp(op="/"):
-            return _PREC_MUL
-        case Neg():
-            return _PREC_NEG
-        case BinOp(op="^"):
-            return _PREC_POW
-    return _PREC_ATOM
+    return _PREC.get(node.op if isinstance(node, BinOp) else type(node), 10)
 
 
 def _render(node: Node, min_prec: int) -> str:
@@ -507,18 +473,18 @@ def _render(node: Node, min_prec: int) -> str:
             text = name
         case Neg(operand=op):
             # the grammar's unary minus prefixes a power, not another minus
-            text = "-" + _render(op, _PREC_POW)
+            text = "-" + _render(op, _PREC["^"])
         case BinOp(op="^", left=left, right=right):
             # right-associative: parenthesize a pow on the left
-            text = _render(left, _PREC_POW + 1) + "^" + _render(right, _PREC_NEG)
+            text = _render(left, _PREC["^"] + 1) + "^" + _render(right, _PREC[Neg])
         case BinOp(op=op, left=left, right=right):
             text = f"{_render(left, mine)} {op} {_render(right, mine + 1)}"
         case Call(func=func, args=args):
             text = f"{func}({', '.join(_render(a, 0) for a in args)})"
         case Rel(op=op, left=left, right=right):
-            text = f"{_render(left, _PREC_ADD)} {op} {_render(right, _PREC_ADD)}"
+            text = f"{_render(left, _PREC['+'])} {op} {_render(right, _PREC['+'])}"
         case And(terms=terms):
-            text = " and ".join(_render(t, _PREC_REL) for t in terms)
+            text = " and ".join(_render(t, _PREC[Rel]) for t in terms)
         case _:  # pragma: no cover
             raise TypeError(f"not an expression node: {node!r}")
     if mine < min_prec:

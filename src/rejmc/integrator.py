@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expression
 from .expression import Node
 from .model import Box, ScalarField, validate_target
 from .randomness import RandomStream, capture_seed, substream, uniform_box_block
@@ -53,12 +52,6 @@ class IntegralEstimate:
             raise ValueError("in-region count cannot exceed the screened count")
 
 
-def _check_region(region: Node, field: ScalarField) -> None:
-    loose = expression.free_vars(region) - set(field.vars.names)
-    if loose:
-        raise ValueError(f"region uses undeclared variables: {sorted(loose)}")
-
-
 def _aggregate(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     value = float(arr.mean())
@@ -85,7 +78,7 @@ def integrate_screened(
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
-    _check_region(region, g)
+    indicator = ScalarField(region, g.vars)
     target = validate_target(g, box)
     run_seed = capture_seed(stream)
     vol = box.volume
@@ -95,7 +88,7 @@ def integrate_screened(
         uniform = uniform_box_block(rs, box, n)
         a = vol * float(np.mean(g(uniform)))
         batch = srmc_sample(target, n, rs, workers=1)
-        in_region = int(np.count_nonzero(expression.evaluate_batch(region, batch.points) == 1.0))
+        in_region = int(np.count_nonzero(indicator(batch.points) == 1.0))
         return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted
 
     results = ordered_map(one_rep, reps, workers)
@@ -131,13 +124,13 @@ def integrate_direct(
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
-    _check_region(region, g)
+    indicator = ScalarField(region, g.vars)
     run_seed = capture_seed(stream)
     vol = box.volume
 
     def one_rep(r: int) -> float:
         uniform = uniform_box_block(substream(run_seed, r), box, n)
-        inside = expression.evaluate_batch(region, uniform)
+        inside = indicator(uniform)
         return vol * float(np.mean(g(uniform) * inside))
 
     values = ordered_map(one_rep, reps, workers)

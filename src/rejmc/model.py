@@ -89,6 +89,11 @@ class Box:
                 raise ValueError(f"dimension {i}: bounds must be finite, got {lo}:{hi}")
             if not lo < hi:
                 raise ValueError(f"dimension {i}: lower bound must be below upper, got {lo}:{hi}")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"dimension {i}: width overflows to infinity, got {lo}:{hi}")
+        if not math.isfinite(self.volume):
+            spans = ",".join(f"{lo}:{hi}" for lo, hi in norm)
+            raise ValueError(f"box volume overflows to infinity, got {spans}")
 
     @property
     def dims(self) -> int:

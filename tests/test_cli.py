@@ -28,6 +28,8 @@ def refuse_sampling(monkeypatch):
 
     monkeypatch.setattr(cli, "srmc_sample", sampler_called)
     monkeypatch.setattr(cli, "grmc_sample", sampler_called)
+    monkeypatch.setattr(cli, "integrate_screened", sampler_called)
+    monkeypatch.setattr(cli, "integrate_direct", sampler_called)
 
 
 def sample_args(n=2000, seed="1", extra=()):
@@ -189,6 +191,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--density", "1", "--vars", "x", "--box", "-1e308:1e308", "--n", "10"],
+            ["integrate", "--integrand", "1", "--region", "x >= 0", "--vars", "x,y",
+             "--box", "0:1e200,0:1e200", "--n", "10", "--seed", "1"],
+        ],
+        ids=["sample-width", "integrate-volume"],
+    )
+    def test_box_overflowing_to_infinity_is_usage_error(self, args, tmp_path, monkeypatch, capsys):
+        refuse_sampling(monkeypatch)
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "overflows to infinity" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_density_parse_error_exits_2(self, tmp_path, monkeypatch):
         code = run(

@@ -4,8 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from rejmc import EvalError, ParseError, VarOrder, evaluate, evaluate_batch, free_vars, parse, to_text
+from rejmc import EvalError, ParseError, VarOrder, evaluate_batch, free_vars, parse, to_text
 from rejmc.expression import And, BinOp, Call, Const, Neg, Num, Rel, Var
+
+
+def evaluate(node, point=()):
+    return float(evaluate_batch(node, np.reshape(np.asarray(point, dtype=np.float64), (1, -1)))[0])
 
 
 class TestParseAndEval:

@@ -34,7 +34,11 @@ class TestBox:
         exact = math.prod(hi - lo for lo, hi in sides)
         assert box.volume == pytest.approx(exact, rel=1e-15)
 
-    @pytest.mark.parametrize("bounds", [[(1, 1)], [(2, 1)], [(0, math.inf)], []])
+    # the last two have finite bounds, but a width or the volume overflows
+    @pytest.mark.parametrize(
+        "bounds",
+        [[(1, 1)], [(2, 1)], [(0, math.inf)], [], [(-1e308, 1e308)], [(0, 1e200), (0, 1e200)]],
+    )
     def test_degenerate_rejected(self, bounds):
         with pytest.raises(ValueError):
             Box(bounds)

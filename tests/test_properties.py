@@ -2,7 +2,8 @@
 
 Each property compares a rewritten path against the straightforward code it
 replaced, kept here as the reference: box scaling against the numpy
-broadcast, grid evaluation against the meshgrid matrix, the piecewise
+broadcast, grid evaluation against the meshgrid matrix, the table-driven
+evaluator against a frozen copy of the per-operator one, the piecewise
 generator against the one-shot splitmix64 formula, the CSV and SVG writers
 against per-value formatting, and the samplers against their own output
 under another batch schedule.
@@ -16,6 +17,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rejmc.cli as cli
+import rejmc.expression as expression
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
 from rejmc import evaluate_batch, parse, samplers, srmc_sample, svgplot, to_text, validate_target
 from rejmc.expression import And, BinOp, Call, Const, Grid, Neg, Num, Rel, Var
@@ -156,6 +158,123 @@ def test_grid_evaluation_equals_meshgrid_matrix(case):
         return evaluate_batch(ast, matrix).reshape(grid.shape)
 
     assert outcome(lambda: evaluate_batch(ast, grid)) == outcome(reshaped)
+
+
+_REFERENCE_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
+def reference_eval(node, cols):
+    """The evaluator as it was before the operator table: one branch per
+    operator and function, frozen here as the reference."""
+    match node:
+        case Num(value=v):
+            return np.float64(v)
+        case Const(name=name):
+            return np.float64(_REFERENCE_CONSTANTS[name])
+        case Var(index=index):
+            return cols[index]
+        case Neg(operand=op):
+            return -reference_eval(op, cols)
+        case BinOp(op=op, left=left, right=right):
+            a = reference_eval(left, cols)
+            b = reference_eval(right, cols)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                if np.any(b == 0.0):
+                    raise EvalError("division by zero", node)
+                return a / b
+            if np.any((a == 0.0) & (b < 0.0)):
+                raise EvalError("zero raised to a negative power", node)
+            out = np.power(a, b)
+            if np.any(np.isnan(out)):
+                raise EvalError("negative base with non-integer exponent", node)
+            return out
+        case Call(func=func, args=args):
+            vals = [reference_eval(arg, cols) for arg in args]
+            if func == "log":
+                if np.any(vals[0] <= 0.0):
+                    raise EvalError("log of a nonpositive value", node)
+                return np.log(vals[0])
+            if func == "sqrt":
+                if np.any(vals[0] < 0.0):
+                    raise EvalError("sqrt of a negative value", node)
+                return np.sqrt(vals[0])
+            if func == "min":
+                return np.minimum(vals[0], vals[1])
+            if func == "max":
+                return np.maximum(vals[0], vals[1])
+            return {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "abs": np.abs}[
+                func
+            ](vals[0])
+        case Rel(op=op, left=left, right=right):
+            a = reference_eval(left, cols)
+            b = reference_eval(right, cols)
+            cmp = {"<=": np.less_equal, ">=": np.greater_equal, "<": np.less, ">": np.greater}[
+                op
+            ](a, b)
+            return np.multiply(cmp, 1.0)
+        case And(terms=terms):
+            out = reference_eval(terms[0], cols)
+            for term in terms[1:]:
+                out = out * reference_eval(term, cols)
+            return out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_outcome(fn, cols):
+    """("ok", dtype, shape, bits) or ("error", failing node, its identity,
+    message)."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(cols))
+    except EvalError as exc:
+        return ("error", exc.node, id(exc.node), str(exc))
+    return ("ok", out.dtype, out.shape, bits(out).tobytes())
+
+
+# signed zeros, negatives, and magnitudes that overflow or underflow
+extremes = st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.5, 2.0, 1e300, -1e300, 1e-300, 700.0])
+
+
+@st.composite
+def evaluator_cases(draw):
+    d = draw(st.integers(1, 3))
+    values = extremes | st.floats(-10, 10)
+    if draw(st.booleans()):
+        axes = [draw(arrays(np.float64, draw(st.integers(1, 4)), elements=values)) for _ in range(d)]
+        cols = Grid(axes).columns
+    else:
+        pts = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=values))
+        cols = [pts[:, i] for i in range(d)]
+    return draw(asts(d)), cols
+
+
+def _rows(text, *rows):
+    pts = np.array(rows, dtype=np.float64)
+    return parse(text, NAMES[: pts.shape[1]]), [pts[:, i] for i in range(pts.shape[1])]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(evaluator_cases())
+@example(_rows("1 / x + log(x)", [1.0], [0.0]))
+@example(_rows("log(x) + 1 / x", [-0.0]))
+@example(_rows("sqrt(x) + log(x)", [-1e-300]))
+@example(_rows("log(x - y)", [1.0, 1.0]))
+@example(_rows("x^(0 - 1) + (-x)^0.5", [0.0], [2.0]))
+@example(_rows("(-x)^0.5", [0.0], [2.0]))
+@example(_rows("exp(x) - exp(x)", [1e300]))
+@example(_rows("min(x, y) + max(x <= y, y > x) * abs(x) + tan(pi) / e", [-0.0, 0.0], [1e300, -1e300]))
+@example(_rows("x < 1 and y >= 0 and x > y", [0.5, 0.25], [2.0, -1.0]))
+def test_evaluator_equals_frozen_reference(case):
+    ast, cols = case
+    assert eval_outcome(lambda c: expression._eval(ast, c), cols) == eval_outcome(
+        lambda c: reference_eval(ast, c), cols
+    )
 
 
 WORD_COUNTS = [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]
