@@ -27,7 +27,6 @@ from .model import (
 from .randomness import (
     RandomStream,
     substream,
-    uniform_box,
     uniform_box_block,
 )
 from .samplers import (
@@ -70,7 +69,6 @@ __all__ = [
     "build_piecewise_proposal",
     "RandomStream",
     "substream",
-    "uniform_box",
     "uniform_box_block",
     "estimate_bound_argmax",
     "srmc_sample",

@@ -22,11 +22,14 @@ from .expression import ParseError, VarOrder
 from .integrator import integrate_direct, integrate_screened
 from .model import (
     ModelValidationError,
+    RunMetadata,
     ScalarField,
     box_from_text,
     build_piecewise_proposal,
+    default_grid,
     validate_target,
 )
+from .randomness import capture_seed
 from .samplers import BudgetExhausted, estimate_bound_argmax, grmc_sample, srmc_sample
 from .stats import GofReport, chi_square_bins, chi_square_box, ks_test_1d
 from .svgplot import scatter_svg
@@ -53,12 +56,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
+    # each command declares its flags in the order its run.json config lists them
     parser = _ArgumentParser(prog="rejmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def model(p, **expressions):
+        for name, text in expressions.items():
+            p.add_argument(f"--{name}", required=True, help=text)
         p.add_argument("--vars", required=True, help="comma-separated variable names, in order")
         p.add_argument("--box", required=True, help='support box "lo:hi,lo:hi,..."')
+
+    def seed(p):
         p.add_argument("--seed", default="0", help="decimal or 0x-prefixed seed")
         p.add_argument(
             "--auto-seed",
@@ -67,9 +75,9 @@ def _build_parser() -> _ArgumentParser:
         )
 
     p = sub.add_parser("sample", help="draw samples from a density")
-    common(p)
-    p.add_argument("--density", required=True, help="density expression")
+    model(p, density="density expression")
     p.add_argument("--n", required=True, type=int, help="number of samples")
+    seed(p)
     p.add_argument("--bound-c", type=float, default=None, help="envelope constant")
     p.add_argument(
         "--bins", default=None, help="piecewise-uniform proposal bins per dimension (int or list)"
@@ -79,9 +87,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--plot", default=None, help="SVG scatter path (2-D only)")
 
     p = sub.add_parser("integrate", help="integrate over a region inside the box")
-    common(p)
-    p.add_argument("--integrand", required=True, help="integrand expression")
-    p.add_argument("--region", required=True, help="region indicator expression")
+    model(p, integrand="integrand expression", region="region indicator expression")
     p.add_argument("--n", required=True, type=int, help="samples per replication")
     p.add_argument("--reps", type=int, default=10, help="independent replications")
     p.add_argument(
@@ -90,12 +96,13 @@ def _build_parser() -> _ArgumentParser:
         default="screened",
         help="screened estimator or the plain-MC cross-check",
     )
+    seed(p)
     p.add_argument("--meta", default="run.json", help="metadata JSON path")
 
     p = sub.add_parser("validate", help="sample and run a goodness-of-fit test")
-    common(p)
-    p.add_argument("--density", required=True, help="density expression")
+    model(p, density="density expression")
     p.add_argument("--n", required=True, type=int, help="number of samples")
+    seed(p)
     p.add_argument("--bound-c", type=float, default=None, help="envelope constant")
     p.add_argument("--cdf", default=None, help="reference CDF expression (1-D KS test)")
     p.add_argument("--bins", type=int, default=8, help="bins per dimension (chi-square test)")
@@ -103,20 +110,22 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--meta", default="run.json", help="metadata JSON path")
 
     p = sub.add_parser("bound", help="estimate the envelope constant on a grid")
-    common(p)
-    p.add_argument("--density", required=True, help="density expression")
-    p.add_argument("--grid", type=int, default=None, help="grid points per dimension")
+    model(p, density="density expression")
+    p.add_argument(
+        "--grid", type=int, default=None, help="grid points per dimension (default: as sample)"
+    )
     p.add_argument("--safety", type=float, default=1.0, help="safety factor (>= 1)")
 
     return parser
 
 
 def _resolve_seed(args) -> tuple[int, str]:
+    """The run seed and its text as config records it."""
     if args.auto_seed:
         seed = int.from_bytes(os.urandom(8), "little")
         return seed, f"0x{seed:016X}"
     try:
-        return int(args.seed, 0), args.seed
+        return capture_seed(int(args.seed, 0)), args.seed
     except ValueError:
         raise _UsageError(f"invalid seed {args.seed!r}") from None
 
@@ -147,8 +156,19 @@ def _write_text(path: str, content: str) -> None:
         raise _UsageError(f"cannot write {path!r}: {exc}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _write_record(args, seed: int, seed_text: str, **results) -> None:
+    """Write run.json: every flag of the command as parsed (the seed as
+    given, or as chosen by --auto-seed), the run seed and the results."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "auto_seed")}
+    config["seed"] = seed_text
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "config": config,
+        "seed": seed,
+        **results,
+    }
+    _write_text(args.meta, json.dumps(record, indent=2) + "\n")
 
 
 def _write_csv(path: str, names, points: np.ndarray) -> None:
@@ -156,6 +176,15 @@ def _write_csv(path: str, names, points: np.ndarray) -> None:
     # whole list at once avoids a numpy scalar per value. Needs >= 1 row.
     rows = repr(points.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
     _write_text(path, ",".join(names) + "\n" + rows + "\n")
+
+
+def _sampling_results(meta: RunMetadata) -> dict:
+    return {
+        "proposals_drawn": meta.proposals_drawn,
+        "accepted": meta.accepted,
+        "acceptance_rate": meta.acceptance_rate,
+        "bound_c": meta.bound_c,
+    }
 
 
 def _gof_payload(report: GofReport) -> dict:
@@ -190,28 +219,7 @@ def _cmd_sample(args) -> int:
 
     _write_csv(args.csv, variables.names, batch.points)
     meta = batch.meta
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sample",
-        "config": {
-            "density": args.density,
-            "vars": args.vars,
-            "box": args.box,
-            "n": args.n,
-            "seed": seed_text,
-            "bound_c": args.bound_c,
-            "bins": args.bins,
-            "csv": args.csv,
-            "meta": args.meta,
-            "plot": args.plot,
-        },
-        "seed": meta.seed,
-        "proposals_drawn": meta.proposals_drawn,
-        "accepted": meta.accepted,
-        "acceptance_rate": meta.acceptance_rate,
-        "bound_c": meta.bound_c,
-    }
-    _write_json(args.meta, payload)
+    _write_record(args, seed, seed_text, **_sampling_results(meta))
     if args.plot is not None:
         _write_text(args.plot, scatter_svg(batch.points, box, variables.names[:2]))
     _report_wall_time(meta.wall_time_ms)
@@ -231,33 +239,21 @@ def _cmd_integrate(args) -> int:
     run = integrate_screened if args.method == "screened" else integrate_direct
     est = run(g, region, box, args.n, args.reps, seed)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "integrate",
-        "config": {
-            "integrand": args.integrand,
-            "region": args.region,
-            "vars": args.vars,
-            "box": args.box,
-            "n": args.n,
-            "reps": args.reps,
-            "method": args.method,
-            "seed": seed_text,
-            "meta": args.meta,
-        },
-        "seed": seed,
-        "proposals_drawn": est.proposals_drawn,
-        "accepted": est.accepted,
-        "acceptance_rate": est.accepted / est.proposals_drawn if est.proposals_drawn else None,
-        "bound_c": est.bound_c,
-        "value": est.value,
-        "std_error": est.std_error,
-        "per_replication_values": list(est.per_replication_values),
-        "n_uniform": est.n_uniform,
-        "n_screened": est.n_screened,
-        "n_in_region": est.n_in_region,
-    }
-    _write_json(args.meta, payload)
+    _write_record(
+        args,
+        seed,
+        seed_text,
+        proposals_drawn=est.proposals_drawn,
+        accepted=est.accepted,
+        acceptance_rate=est.accepted / est.proposals_drawn if est.proposals_drawn else None,
+        bound_c=est.bound_c,
+        value=est.value,
+        std_error=est.std_error,
+        per_replication_values=list(est.per_replication_values),
+        n_uniform=est.n_uniform,
+        n_screened=est.n_screened,
+        n_in_region=est.n_in_region,
+    )
     print(f"value = {est.value!r} +/- {est.std_error!r} ({args.method}, reps={est.replications})")
     return EXIT_OK
 
@@ -285,29 +281,7 @@ def _cmd_validate(args) -> int:
     else:
         report = chi_square_box(batch, target, args.bins)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
-        "config": {
-            "density": args.density,
-            "vars": args.vars,
-            "box": args.box,
-            "n": args.n,
-            "seed": seed_text,
-            "bound_c": args.bound_c,
-            "cdf": args.cdf,
-            "bins": args.bins,
-            "alpha": args.alpha,
-            "meta": args.meta,
-        },
-        "seed": batch.meta.seed,
-        "proposals_drawn": batch.meta.proposals_drawn,
-        "accepted": batch.meta.accepted,
-        "acceptance_rate": batch.meta.acceptance_rate,
-        "bound_c": batch.meta.bound_c,
-        "gof": _gof_payload(report),
-    }
-    _write_json(args.meta, payload)
+    _write_record(args, seed, seed_text, **_sampling_results(batch.meta), gof=_gof_payload(report))
     _report_wall_time(batch.meta.wall_time_ms)
     verdict = "PASS" if report.passed else "FAIL"
     dof = f", dof={report.dof}" if report.dof is not None else ""
@@ -321,11 +295,7 @@ def _cmd_validate(args) -> int:
 def _cmd_bound(args) -> int:
     variables, box = _parse_model_args(args)
     field = ScalarField.from_text(args.density, variables)
-    if args.safety < 1.0:
-        raise _UsageError("--safety must be at least 1")
-    grid = args.grid
-    if grid is None:
-        grid = {1: 1025, 2: 257, 3: 65}.get(box.dims, 17)
+    grid = default_grid(box.dims) if args.grid is None else args.grid
     value, at = estimate_bound_argmax(field, box, grid, args.safety)
     coords = ", ".join(repr(float(c)) for c in at)
     print(f"bound = {value!r} (grid maximum at ({coords}), grid={grid}, safety={args.safety})")

@@ -43,11 +43,18 @@ __all__ = [
     "bin_counts",
     "grid_reduce",
     "check_grid_size",
+    "default_grid",
     "MAX_GRID_POINTS",
+    "SAFETY",
 ]
 
 # fixed seed for validation probes: decisions must not vary run to run
 _VALIDATION_SEED = 0x56414C4944415445
+_PROBES = 1000
+# factor on every estimated envelope (grid maximum or per-cell maxima)
+SAFETY = 1.2
+# a histogram proposal's grid splits each cell edge this many times
+_REFINEMENT = 8
 
 MAX_GRID_POINTS = 1 << 22
 # grid_reduce evaluates at most this many points at once (unless the fewest
@@ -91,9 +98,10 @@ class Box:
                 raise ValueError(f"dimension {i}: lower bound must be below upper, got {lo}:{hi}")
             if not math.isfinite(hi - lo):
                 raise ValueError(f"dimension {i}: width overflows to infinity, got {lo}:{hi}")
-        if not math.isfinite(self.volume):
+        if not 0.0 < self.volume < math.inf:
             spans = ",".join(f"{lo}:{hi}" for lo, hi in norm)
-            raise ValueError(f"box volume overflows to infinity, got {spans}")
+            fault = "underflows to zero" if self.volume == 0.0 else "overflows to infinity"
+            raise ValueError(f"box volume {fault}, got {spans}")
 
     @property
     def dims(self) -> int:
@@ -211,7 +219,7 @@ class SampleBatch:
             )
 
 
-def _default_grid(dims: int) -> int:
+def default_grid(dims: int) -> int:
     """Largest odd per-dimension grid with at most ~2^18 total points,
     clamped to [5, 1025]. Odd counts place a point at the box center."""
     g = int((1 << 18) ** (1.0 / dims))
@@ -225,21 +233,19 @@ def validate_target(
     box: Box,
     bound_c: float | None = None,
     *,
-    probes: int = 1000,
-    safety: float = 1.2,
     estimate_truncation: bool = False,
 ) -> TargetSpec:
     """Probe-validate a target and fix its envelope constant.
 
     The field must be finite and nonnegative at every probe point. A supplied
     bound_c is checked against the probes (EnvelopeViolation reports the
-    offending point and value); without one, a grid maximum with the given
-    safety factor is estimated and stored.
+    offending point and value); without one, the maximum on a default_grid
+    times SAFETY is estimated and stored.
     """
     if field.dims != box.dims:
         raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
     stream = RandomStream(_VALIDATION_SEED)
-    pts = uniform_box_block(stream, box, probes)
+    pts = uniform_box_block(stream, box, _PROBES)
     vals = field(pts)
 
     bad = ~np.isfinite(vals)
@@ -258,7 +264,7 @@ def validate_target(
     if bound_c is None:
         from .samplers import estimate_bound_argmax
 
-        bound_c, _ = estimate_bound_argmax(field, box, _default_grid(box.dims), safety=safety)
+        bound_c, _ = estimate_bound_argmax(field, box, default_grid(box.dims), safety=SAFETY)
         if not bound_c > 0.0:
             raise ModelValidationError(
                 "estimated envelope is not positive; the field vanishes on the grid"
@@ -354,10 +360,6 @@ class PiecewiseUniformProposal:
     def cell_count(self) -> int:
         return int(np.prod(self.bins))
 
-    @property
-    def masses(self) -> np.ndarray:
-        return self.heights * self.cell_volume
-
     def cell_lower(self, flat_index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Lower corner of each flat (C-order) cell index; shape (k, dims).
 
@@ -382,14 +384,11 @@ def build_piecewise_proposal(
     field: ScalarField,
     box: Box,
     bins_per_dim: int | Sequence[int],
-    *,
-    refinement: int = 8,
-    safety: float = 1.2,
 ) -> PiecewiseUniformProposal:
     """Histogram envelope from per-cell grid maxima.
 
-    Each cell is refined ``refinement`` times per dimension (grid includes
-    the cell corners) and its height is the grid maximum times ``safety``.
+    Each cell edge is split 8 times (grid includes the cell corners) and
+    the cell's height is its grid maximum times SAFETY.
     Cells whose grid maximum is zero get height zero and are never proposed.
     """
     if field.dims != box.dims:
@@ -399,15 +398,15 @@ def build_piecewise_proposal(
     if cells > MAX_GRID_POINTS:
         raise ValueError(f"partition has {cells} cells; limit is {MAX_GRID_POINTS}")
 
-    # per-dimension refined coordinates: refinement+1 per cell, corners included
+    # per-dimension refined coordinates: _REFINEMENT+1 per cell, corners included
     axes = []
     for (lo, hi), b in zip(box.bounds, bins):
         step = (hi - lo) / b
-        offsets = np.arange(refinement + 1, dtype=np.float64) / refinement * step
+        offsets = np.arange(_REFINEMENT + 1, dtype=np.float64) / _REFINEMENT * step
         axes.append((lo + np.arange(b, dtype=np.float64)[:, None] * step + offsets).ravel())
-    cell_max = grid_reduce(field, axes, refinement + 1, np.max)
+    cell_max = grid_reduce(field, axes, _REFINEMENT + 1, np.max)
 
-    heights = np.where(cell_max > 0.0, cell_max * safety, 0.0)
+    heights = np.where(cell_max > 0.0, cell_max * SAFETY, 0.0)
     cell_volume = math.prod((hi - lo) / b for (lo, hi), b in zip(box.bounds, bins))
     masses_flat = heights.ravel() * cell_volume
     total = float(masses_flat.sum())

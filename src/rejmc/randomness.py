@@ -124,19 +124,13 @@ def substream(seed: int, chunk: int) -> RandomStream:
     return RandomStream(mix64((int(seed) & MASK64) ^ salt))
 
 
-def uniform_box(stream: RandomStream, box) -> np.ndarray:
-    """One point uniform on ``box``; consumes exactly box.dims draws, in
-    dimension order. Coordinate i is lower_i + u*(upper_i - lower_i)."""
-    u = stream.uniform01_block(box.dims)
-    return box.lower + u * box.widths
-
-
 def uniform_box_block(stream: RandomStream, box, count: int) -> np.ndarray:
     """``count`` points uniform on ``box`` as a (count, dims) matrix.
 
-    Consumes count*dims draws in the same order as repeated uniform_box.
-    The matrix is column-major (see scale_to_box): it is filled one column
-    at a time, and evaluation reads each variable's column contiguously.
+    Consumes count*dims draws, point by point and in dimension order within
+    a point: coordinate i is lower_i + u*(upper_i - lower_i). The matrix is
+    column-major (see scale_to_box): it is filled one column at a time, and
+    evaluation reads each variable's column contiguously.
     """
     d = box.dims
     u = stream.uniform01_block(count * d).reshape(count, d)

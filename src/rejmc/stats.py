@@ -197,9 +197,7 @@ def _merge_small_cells(
     return group_obs[roots], group_exp[roots]
 
 
-def chi_square_bins(
-    dims: int, bins_per_dim: int | Sequence[int], quadrature_per_dim: int = _QUADRATURE_PER_DIM
-) -> tuple[int, ...]:
+def chi_square_bins(dims: int, bins_per_dim: int | Sequence[int]) -> tuple[int, ...]:
     """Bins per dimension for chi_square_box on a dims-D box.
 
     Raises ValueError, as chi_square_box would, for bad bin counts or a
@@ -207,7 +205,7 @@ def chi_square_bins(
     arguments before it samples.
     """
     bins = bin_counts(bins_per_dim, dims)
-    check_grid_size([b * quadrature_per_dim for b in bins])
+    check_grid_size([b * _QUADRATURE_PER_DIM for b in bins])
     return bins
 
 
@@ -215,23 +213,21 @@ def chi_square_box(
     batch: SampleBatch | np.ndarray,
     target: TargetSpec,
     bins_per_dim: int | Sequence[int],
-    *,
-    quadrature_per_dim: int = _QUADRATURE_PER_DIM,
 ) -> GofReport:
     """Chi-square test of a batch against its target on the support box.
 
-    Expected cell probabilities come from midpoint quadrature
-    (quadrature_per_dim^d points per cell), normalized over the box; cells
-    with expected count below 5 are merged into their largest neighbor.
+    Expected cell probabilities come from midpoint quadrature (32^d points
+    per cell), normalized over the box; cells with expected count below 5
+    are merged into their largest neighbor.
     """
     pts = _as_points(batch)
     box = target.support
-    bins = chi_square_bins(box.dims, bins_per_dim, quadrature_per_dim)
+    bins = chi_square_bins(box.dims, bins_per_dim)
 
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box.bounds, bins)]
     observed, _ = np.histogramdd(pts, bins=edges)
 
-    q = quadrature_per_dim
+    q = _QUADRATURE_PER_DIM
     axes = []
     for (lo, hi), b in zip(box.bounds, bins):
         step = (hi - lo) / (b * q)

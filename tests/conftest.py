@@ -32,6 +32,12 @@ def subprocess_env():
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([IMPORT_ROOT, inherited] if inherited else [IMPORT_ROOT])
+    # a child fails on a numpy warning, as the in-process tests do; the last
+    # filter wins, so the inherited ones come first
+    inherited = env.get("PYTHONWARNINGS")
+    env["PYTHONWARNINGS"] = ",".join(
+        [inherited, "error::RuntimeWarning"] if inherited else ["error::RuntimeWarning"]
+    )
     return env
 
 

@@ -111,22 +111,6 @@ class TestSample:
             tmp_path / "replay/samples.csv"
         ).read_bytes()
 
-    def test_metadata_suffices_to_reexecute(self, tmp_path, monkeypatch):
-        run(sample_args(extra=["--csv", "a.csv", "--meta", "a.json"]), tmp_path, monkeypatch)
-        config = json.loads((tmp_path / "a.json").read_text())["config"]
-        rerun = [
-            "sample",
-            "--density", config["density"],
-            "--vars", config["vars"],
-            "--box", config["box"],
-            "--n", str(config["n"]),
-            "--seed", config["seed"],
-            "--csv", "b.csv",
-            "--meta", "b.json",
-        ]
-        assert run(rerun, tmp_path, monkeypatch) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
     def test_piecewise_bins_path(self, tmp_path, monkeypatch):
         code = run(sample_args(extra=["--bins", "64"]), tmp_path, monkeypatch)
         assert code == 0
@@ -172,6 +156,44 @@ class TestSample:
         assert list(tmp_path.iterdir()) == []
 
 
+RECORDED_RUNS = {
+    "sample": [
+        "sample", "--density", GAUSS_DENSITY, "--vars", "x,y", "--box", "-5:5,-5:5",
+        "--n", "300", "--csv", "a.csv", "--meta", "a.json", "--plot", "a.svg",
+    ],
+    "integrate": [
+        "integrate", "--integrand", "x*y", "--region", "y^2 <= x", "--vars", "x,y",
+        "--box", "0:4,0:2", "--n", "2000", "--reps", "2", "--method", "direct",
+    ],
+    "validate": [
+        "validate", "--density", SINE_DENSITY, "--vars", "x", "--box", SINE_BOX,
+        "--n", "500", "--cdf", SINE_CDF, "--alpha", "0.05",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "0x10000000000000001", "42"])
+@pytest.mark.parametrize("command", sorted(RECORDED_RUNS))
+def test_metadata_suffices_to_reexecute(command, seed, tmp_path, monkeypatch):
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    assert run([*RECORDED_RUNS[command], "--seed", seed], first, monkeypatch) == 0
+    record = json.loads(next(first.glob("*.json")).read_text())
+    # every config key is a flag of the command, so config alone re-runs it
+    rerun = [command]
+    for key, value in record["config"].items():
+        if value is not None:
+            rerun += [f"--{key.replace('_', '-')}", str(value)]
+    assert run(rerun, again, monkeypatch) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    # the recorded run seed is the seed text reduced to 64 bits, by every command
+    assert record["seed"] == int(record["config"]["seed"], 0) & (2**64 - 1)
+
+
 class TestExitCodes:
     def test_missing_box_is_usage_error(self, tmp_path, monkeypatch, capsys):
         code = run(
@@ -205,6 +227,24 @@ class TestExitCodes:
         refuse_sampling(monkeypatch)
         assert run(args, tmp_path, monkeypatch) == 1
         assert "overflows to infinity" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sample", "--density", "1", "--vars", "x,y", "--box", "0:1e-200,0:1e-200",
+             "--n", "10", "--bins", "2"],
+            ["integrate", "--integrand", "1", "--region", "x >= 0", "--vars", "x,y",
+             "--box", "0:1e-200,0:1e-200", "--n", "10", "--seed", "1"],
+        ],
+        ids=["sample", "integrate"],
+    )
+    def test_box_volume_underflowing_to_zero_is_usage_error(
+        self, args, tmp_path, monkeypatch, capsys
+    ):
+        refuse_sampling(monkeypatch)
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "box volume underflows to zero" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_density_parse_error_exits_2(self, tmp_path, monkeypatch):
@@ -404,6 +444,19 @@ class TestBound:
         assert run(args, tmp_path, monkeypatch) == 0
         value = float(capsys.readouterr().out.split("bound = ")[1].split(" ")[0])
         assert value == 3.0
+
+    def test_default_grid_is_the_one_sample_uses(self, tmp_path, monkeypatch, capsys):
+        # 5 points per dimension in 7-D, as validate_target picks for sample
+        args = [
+            "bound", "--density", "1", "--vars", "a,b,c,d,f,g,h",
+            "--box", ",".join(["0:1"] * 7),
+        ]
+        assert run(args, tmp_path, monkeypatch) == 0
+        assert "grid=5," in capsys.readouterr().out
+
+    def test_takes_no_seed(self, tmp_path, monkeypatch):
+        args = ["bound", "--density", "1", "--vars", "x", "--box", "0:1", "--seed", "1"]
+        assert run(args, tmp_path, monkeypatch) == 1
 
     def test_grid_of_nine_million_points_runs_in_slabs(self, tmp_path, monkeypatch, capsys):
         calls = []

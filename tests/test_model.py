@@ -37,7 +37,15 @@ class TestBox:
     # the last two have finite bounds, but a width or the volume overflows
     @pytest.mark.parametrize(
         "bounds",
-        [[(1, 1)], [(2, 1)], [(0, math.inf)], [], [(-1e308, 1e308)], [(0, 1e200), (0, 1e200)]],
+        [
+            [(1, 1)],
+            [(2, 1)],
+            [(0, math.inf)],
+            [],
+            [(-1e308, 1e308)],
+            [(0, 1e200), (0, 1e200)],
+            [(0, 1e-200), (0, 1e-200)],
+        ],
     )
     def test_degenerate_rejected(self, bounds):
         with pytest.raises(ValueError):

@@ -362,13 +362,13 @@ def test_scatter_svg_body_matches_fstrings(lo, width, u):
 def sine_sampler():
     field = ScalarField.from_text("sin(x)/sqrt(2)", VarOrder(["x"]))
     target = validate_target(field, Box([(math.pi / 4, 3 * math.pi / 4)]), 1.1)
-    return lambda n, seed: srmc_sample(target, n, seed, workers=1)
+    return lambda n, seed, workers=1: srmc_sample(target, n, seed, workers=workers)
 
 
 def gauss_grmc_sampler():
     field = ScalarField.from_text("exp(-(x^2 + y^2 - 0.4*x*y)/1.92)", VarOrder(["x", "y"]))
     proposal = build_piecewise_proposal(field, Box([(-4, 4), (-4, 4)]), [3, 5])
-    return lambda n, seed: grmc_sample(field, proposal, n, seed, workers=1)
+    return lambda n, seed, workers=1: grmc_sample(field, proposal, n, seed, workers=workers)
 
 
 SAMPLERS = {"srmc": sine_sampler(), "grmc": gauss_grmc_sampler()}
@@ -389,5 +389,22 @@ def test_samples_do_not_depend_on_batch_sizes(kind, n, seed, sizes):
     schedule = itertools.cycle(sizes)
     with mock.patch.object(samplers, "_next_batch_size", lambda *args: next(schedule)):
         got = sample(n, seed)
+    assert np.array_equal(bits(got.points), bits(want.points))
+    assert got.meta.proposals_drawn == want.meta.proposals_drawn
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SAMPLERS)),
+    st.integers(1, 3 * samplers.CHUNK_ACCEPTS),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 8),
+)
+@example("srmc", 3 * samplers.CHUNK_ACCEPTS, 2**64 - 1, 8)
+@example("grmc", 2 * samplers.CHUNK_ACCEPTS + 1, 0, 3)
+def test_samples_do_not_depend_on_worker_count(kind, n, seed, workers):
+    sample = SAMPLERS[kind]
+    want = sample(n, seed)
+    got = sample(n, seed, workers)
     assert np.array_equal(bits(got.points), bits(want.points))
     assert got.meta.proposals_drawn == want.meta.proposals_drawn

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rejmc import Box, RandomStream, substream, uniform_box, uniform_box_block
+from rejmc import Box, RandomStream, substream, uniform_box_block
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, mix64
 
 
@@ -92,7 +92,7 @@ def test_uniform01_chi_square_uniformity():
 def test_uniform_box_identity_square():
     stream = RandomStream(0)
     expect = [stream.uniform01() for _ in range(2)]
-    point = uniform_box(RandomStream(0), Box([(0, 1), (0, 1)]))
+    point = uniform_box_block(RandomStream(0), Box([(0, 1), (0, 1)]), 1)[0]
     assert list(point) == expect
 
 
@@ -113,7 +113,7 @@ def test_uniform_box_consumes_exactly_d_draws():
     stream = RandomStream(9)
     reference = RandomStream(9)
     reference.next_u64_block(3)
-    uniform_box(stream, box)
+    uniform_box_block(stream, box, 1)
     assert stream.state == reference.state
 
     stream2 = RandomStream(9)
@@ -126,7 +126,7 @@ def test_uniform_box_consumes_exactly_d_draws():
 def test_uniform_box_dimension_order():
     box = Box([(0, 1), (10, 20)])
     raw = RandomStream(77).uniform01_block(2)
-    point = uniform_box(RandomStream(77), box)
+    point = uniform_box_block(RandomStream(77), box, 1)[0]
     assert point[0] == raw[0]
     assert point[1] == 10 + raw[1] * 10
 
