@@ -22,6 +22,7 @@ from .model import (
     TargetSpec,
     box_from_text,
     build_piecewise_proposal,
+    estimate_bound_argmax,
     validate_target,
 )
 from .randomness import (
@@ -29,13 +30,7 @@ from .randomness import (
     substream,
     uniform_box_block,
 )
-from .samplers import (
-    BudgetExhausted,
-    estimate_bound_argmax,
-    grmc_sample,
-    proposal_budget,
-    srmc_sample,
-)
+from .samplers import BudgetExhausted, grmc_sample, srmc_sample
 from .stats import (
     GofReport,
     SummaryStats,
@@ -74,7 +69,6 @@ __all__ = [
     "srmc_sample",
     "grmc_sample",
     "BudgetExhausted",
-    "proposal_budget",
     "IntegralEstimate",
     "integrate_screened",
     "integrate_direct",

@@ -27,10 +27,11 @@ from .model import (
     box_from_text,
     build_piecewise_proposal,
     default_grid,
+    estimate_bound_argmax,
     validate_target,
 )
 from .randomness import capture_seed
-from .samplers import BudgetExhausted, estimate_bound_argmax, grmc_sample, srmc_sample
+from .samplers import BudgetExhausted, grmc_sample, srmc_sample
 from .stats import GofReport, chi_square_bins, chi_square_box, ks_test_1d
 from .svgplot import scatter_svg
 
@@ -67,11 +68,11 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--box", required=True, help='support box "lo:hi,lo:hi,..."')
 
     def seed(p):
-        p.add_argument("--seed", default="0", help="decimal or 0x-prefixed seed")
+        p.add_argument("--seed", default=None, help="decimal or 0x-prefixed seed (default 0)")
         p.add_argument(
             "--auto-seed",
             action="store_true",
-            help="seed from OS entropy (the chosen seed is still recorded)",
+            help="seed from OS entropy, instead of --seed (the chosen seed is still recorded)",
         )
 
     p = sub.add_parser("sample", help="draw samples from a density")
@@ -122,12 +123,15 @@ def _build_parser() -> _ArgumentParser:
 def _resolve_seed(args) -> tuple[int, str]:
     """The run seed and its text as config records it."""
     if args.auto_seed:
+        if args.seed is not None:
+            raise _UsageError("--seed and --auto-seed exclude each other")
         seed = int.from_bytes(os.urandom(8), "little")
         return seed, f"0x{seed:016X}"
+    text = "0" if args.seed is None else args.seed
     try:
-        return capture_seed(int(args.seed, 0)), args.seed
+        return capture_seed(int(text, 0)), text
     except ValueError:
-        raise _UsageError(f"invalid seed {args.seed!r}") from None
+        raise _UsageError(f"invalid seed {text!r}") from None
 
 
 def _parse_model_args(args):

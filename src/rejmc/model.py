@@ -43,6 +43,7 @@ __all__ = [
     "bin_counts",
     "grid_reduce",
     "check_grid_size",
+    "estimate_bound_argmax",
     "default_grid",
     "MAX_GRID_POINTS",
     "SAFETY",
@@ -262,8 +263,6 @@ def validate_target(
         )
 
     if bound_c is None:
-        from .samplers import estimate_bound_argmax
-
         bound_c, _ = estimate_bound_argmax(field, box, default_grid(box.dims), safety=SAFETY)
         if not bound_c > 0.0:
             raise ModelValidationError(
@@ -340,6 +339,22 @@ def grid_reduce(field, axes: Sequence[np.ndarray], per_cell: int, reduce) -> np.
         shape = tuple(x for a in part for x in (len(a) // per_cell, per_cell))
         out.append(reduce(vals.reshape(shape), axis=cell_axes))
     return np.concatenate(out, axis=k)
+
+
+def estimate_bound_argmax(
+    field: ScalarField, box: Box, grid_per_dim: int, safety: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """safety * max of the field over a regular grid including box corners,
+    and the grid point of the (first) maximum."""
+    if grid_per_dim < 2:
+        raise ValueError(f"bound grid needs at least 2 points per dimension, got {grid_per_dim}")
+    if safety < 1.0:
+        raise ValueError("safety factor must be at least 1")
+    check_grid_size([grid_per_dim] * box.dims)
+    axes = [np.linspace(lo, hi, grid_per_dim) for lo, hi in box.bounds]
+    vals = grid_reduce(field, axes, 1, np.max)
+    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return safety * float(vals[at]), np.array([a[i] for a, i in zip(axes, at)])
 
 
 @dataclass(frozen=True, eq=False)

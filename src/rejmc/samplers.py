@@ -12,9 +12,9 @@ pure function of (inputs, seed) no matter how many worker threads run. The
 worker count comes from the RMC_THREADS environment variable when not passed
 explicitly.
 
-A run that draws far more proposals than its running acceptance rate
-justifies, or whose chunk has accepted nothing after 2^24 proposals, fails
-loudly with BudgetExhausted instead of looping forever.
+A chunk that has drawn at least 2^24 proposals at a running acceptance rate
+below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
+hours.
 
 Chunks, and the integrator's replications, run through ordered_map, the one
 parallel map of the package.
@@ -30,8 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField
-from .model import TargetSpec, check_grid_size, grid_reduce
+from .model import PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
+# re-exported: bench/tracer.py wraps it under this module's name
+from .model import estimate_bound_argmax
 from .randomness import RandomStream, capture_seed, scale_to_box, substream
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "srmc_sample",
     "grmc_sample",
     "BudgetExhausted",
-    "proposal_budget",
     "resolve_workers",
     "ordered_map",
     "CHUNK_ACCEPTS",
@@ -49,15 +49,18 @@ __all__ = [
 CHUNK_ACCEPTS = 4096
 PROGRESS_INTERVAL = 1 << 16
 _MAX_BATCH = 1 << 17
-# a chunk with no acceptance after this many proposals fails: at the budget's
-# floor rate of 1e-6, zero accepts that late has probability e^-16.8
-_ZERO_ACCEPT_LIMIT = 1 << 24
+# a chunk fails once it has drawn _STOP_AFTER proposals at a running rate
+# below _STOP_RATE: at a true rate of 1e-6, accepting nothing by 2^24
+# proposals has probability e^-16.8
+_STOP_AFTER = 1 << 24
+_STOP_RATE = 1e-6
 
 ProgressCallback = Callable[[int, int], None]
 
 
 class BudgetExhausted(RuntimeError):
-    """Proposal budget exceeded: grossly loose envelope or near-zero density."""
+    """A chunk's running acceptance rate was below 1e-6 after at least
+    2^24 proposals: grossly loose envelope or near-zero density."""
 
     def __init__(self, proposals_drawn: int, accepted: int, requested_n: int):
         self.proposals_drawn = proposals_drawn
@@ -69,11 +72,6 @@ class BudgetExhausted(RuntimeError):
             f"{accepted}/{requested_n} accepted (running acceptance rate "
             f"{self.acceptance_rate:.3g})"
         )
-
-
-def proposal_budget(n: int, acceptance_rate: float) -> float:
-    """Proposals allowed before giving up: max(1e4, 1000*n/max(rate, 1e-6))."""
-    return max(10_000.0, 1000.0 * n / max(acceptance_rate, 1e-6))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -115,22 +113,6 @@ def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = N
     # a skipped call returns None and comes after a failed one, so this
     # raises the first failure in index order
     return [fut.result() for fut in futures]
-
-
-def estimate_bound_argmax(
-    field: ScalarField, box: Box, grid_per_dim: int, safety: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """safety * max of the field over a regular grid including box corners,
-    and the grid point of the (first) maximum."""
-    if grid_per_dim < 2:
-        raise ValueError("grid_per_dim must be at least 2")
-    if safety < 1.0:
-        raise ValueError("safety factor must be at least 1")
-    check_grid_size([grid_per_dim] * box.dims)
-    axes = [np.linspace(lo, hi, grid_per_dim) for lo, hi in box.bounds]
-    vals = grid_reduce(field, axes, 1, np.max)
-    at = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return safety * float(vals[at]), np.array([a[i] for a, i in zip(axes, at)])
 
 
 class _Progress:
@@ -210,7 +192,6 @@ def _run_chunk(
     dims: int,
     propose_and_test,
     progress: _Progress,
-    max_proposals: int | None,
 ) -> tuple[np.ndarray, int]:
     """Sequential rejection loop for one chunk, batched for speed.
 
@@ -237,10 +218,7 @@ def _run_chunk(
         accepted += hits.size
         proposed += batch
         progress.add(batch, hits.size)
-        budget = proposal_budget(chunk_n, accepted / proposed)
-        if max_proposals is not None:
-            budget = min(budget, float(max_proposals))
-        if proposed > budget or (accepted == 0 and proposed >= _ZERO_ACCEPT_LIMIT):
+        if proposed >= _STOP_AFTER and accepted < _STOP_RATE * proposed:
             raise _ChunkBudgetExceeded()
     points = np.concatenate(taken, axis=0) if taken else np.empty((0, dims))
     return points, proposed
@@ -261,7 +239,6 @@ def _run_chunked(
     bound_for_meta: float,
     progress: ProgressCallback | None,
     workers: int | None,
-    max_proposals: int | None,
 ) -> SampleBatch:
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
@@ -271,9 +248,7 @@ def _run_chunked(
     tracker = _Progress(progress)
 
     def work(i: int) -> tuple[np.ndarray, int]:
-        return _run_chunk(
-            substream(run_seed, i), plan[i], dims, propose_and_test, tracker, max_proposals
-        )
+        return _run_chunk(substream(run_seed, i), plan[i], dims, propose_and_test, tracker)
 
     try:
         results = ordered_map(work, len(plan), workers)
@@ -303,14 +278,13 @@ def srmc_sample(
     *,
     progress: ProgressCallback | None = None,
     workers: int | None = None,
-    max_proposals: int | None = None,
 ) -> SampleBatch:
     """Draw n samples from the target via uniform proposals on its box.
 
     Per proposal: x uniform on the box (dims draws), y = bound_c * u (one
     draw); accept x iff f(x) > y. Accepted points are returned in acceptance
-    order. Raises BudgetExhausted when the proposal budget runs out;
-    ``max_proposals`` adds a harder per-chunk cap.
+    order. Raises BudgetExhausted when a chunk has drawn at least 2^24
+    proposals at a running acceptance rate below 1e-6.
     """
     box = target.support
     d = box.dims
@@ -324,7 +298,7 @@ def srmc_sample(
         y = c * u[:, d]
         return pts, field(pts) > y
 
-    return _run_chunked(n, d, stream, propose_and_test, c, progress, workers, max_proposals)
+    return _run_chunked(n, d, stream, propose_and_test, c, progress, workers)
 
 
 def grmc_sample(
@@ -335,7 +309,6 @@ def grmc_sample(
     *,
     progress: ProgressCallback | None = None,
     workers: int | None = None,
-    max_proposals: int | None = None,
 ) -> SampleBatch:
     """Draw n samples using a piecewise-uniform proposal.
 
@@ -373,6 +346,4 @@ def grmc_sample(
             return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
-    return _run_chunked(
-        n, d, stream, propose_and_test, effective_c, progress, workers, max_proposals
-    )
+    return _run_chunked(n, d, stream, propose_and_test, effective_c, progress, workers)

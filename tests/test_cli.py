@@ -43,8 +43,7 @@ def sample_args(n=2000, seed="1", extra=()):
         SINE_BOX,
         "--n",
         str(n),
-        "--seed",
-        seed,
+        *(["--seed", seed] if seed is not None else []),
         *extra,
     ]
 
@@ -100,7 +99,7 @@ class TestSample:
 
     def test_auto_seed_recorded_and_reexecutable(self, tmp_path, monkeypatch):
         (tmp_path / "auto").mkdir()
-        run(sample_args(n=200, extra=["--auto-seed"]), tmp_path / "auto", monkeypatch)
+        run(sample_args(n=200, seed=None, extra=["--auto-seed"]), tmp_path / "auto", monkeypatch)
         meta = json.loads((tmp_path / "auto/run.json").read_text())
         recorded = meta["config"]["seed"]
         assert recorded.startswith("0x")
@@ -192,6 +191,16 @@ def test_metadata_suffices_to_reexecute(command, seed, tmp_path, monkeypatch):
         assert (first / name).read_bytes() == (again / name).read_bytes()
     # the recorded run seed is the seed text reduced to 64 bits, by every command
     assert record["seed"] == int(record["config"]["seed"], 0) & (2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", ["5", "0"])
+@pytest.mark.parametrize("command", sorted(RECORDED_RUNS))
+def test_seed_with_auto_seed_is_usage_error(command, seed, tmp_path, monkeypatch, capsys):
+    refuse_sampling(monkeypatch)
+    args = [*RECORDED_RUNS[command], "--seed", seed, "--auto-seed"]
+    assert run(args, tmp_path, monkeypatch) == 1
+    assert "--seed and --auto-seed exclude each other" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -453,6 +462,13 @@ class TestBound:
         ]
         assert run(args, tmp_path, monkeypatch) == 0
         assert "grid=5," in capsys.readouterr().out
+
+    def test_grid_of_one_is_usage_error_naming_no_parameter(self, tmp_path, monkeypatch, capsys):
+        args = ["bound", "--density", "1", "--vars", "x", "--box", "0:1", "--grid", "1"]
+        assert run(args, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert "bound grid needs at least 2 points per dimension, got 1" in err
+        assert "grid_per_dim" not in err
 
     def test_takes_no_seed(self, tmp_path, monkeypatch):
         args = ["bound", "--density", "1", "--vars", "x", "--box", "0:1", "--seed", "1"]

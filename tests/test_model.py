@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 
@@ -262,3 +263,15 @@ class TestGridReduce:
         axes = [np.zeros(256)] * 4  # 2^32 points
         with pytest.raises(ValueError, match=f"{256**4} points exceeds the limit of {1 << 28}"):
             model.grid_reduce(never, axes, 32, np.sum)
+
+
+def test_model_imports_nothing_from_samplers():
+    tree = ast.parse(open(model.__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "samplers" in name.split(".")]

@@ -18,7 +18,6 @@ from rejmc import (
     grmc_sample,
     ks_test_1d,
     predicted_acceptance,
-    proposal_budget,
     srmc_sample,
     substream,
     validate_target,
@@ -282,45 +281,48 @@ class TestWorkspace:
 
 
 class TestBudget:
-    def test_budget_formula(self):
-        assert proposal_budget(1, 0.0) == 1e9
-        assert proposal_budget(1, 1.0) == 10_000.0
-        assert proposal_budget(10_000, 0.5) == 2e7
-        assert proposal_budget(100, 1e-9) == 1e11  # rate floored at 1e-6
-
     def test_budget_exhaustion_error_payload(self):
-        # acceptance region has width 1e-6: practically nothing ever accepted
-        field = ScalarField.from_text("(x >= 0.999999)", VarOrder(["x"]))
+        # acceptance region has width 1e-10: practically nothing ever accepted
+        field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 1, 0, max_proposals=20_000)
+            srmc_sample(target, 1, 0)
         exc = err.value
-        assert exc.proposals_drawn > 20_000
+        # the single chunk stops at 2^24 proposals: the batch sizes double to it
+        assert exc.proposals_drawn == 1 << 24
         assert exc.accepted == 0
         assert exc.acceptance_rate == 0.0
         assert exc.requested_n == 1
 
     def test_budget_error_final_callback_matches_payload(self):
-        field = ScalarField.from_text("(x >= 0.999999)", VarOrder(["x"]))
+        field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
         calls = []
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 1, 0, progress=lambda p, a: calls.append((p, a)),
-                        max_proposals=200_000)
+            srmc_sample(target, 1, 0, progress=lambda p, a: calls.append((p, a)))
         assert calls, "expected progress callbacks past 2^16 proposals"
         assert calls[-1] == (err.value.proposals_drawn, err.value.accepted)
         proposals = [p for p, _ in calls]
         assert proposals == sorted(proposals)
 
     def test_multi_chunk_threaded_failure_reports_payload(self):
-        field = ScalarField.from_text("(x >= 0.999999)", VarOrder(["x"]))
+        field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
         calls = []
         with pytest.raises(BudgetExhausted) as err:
             srmc_sample(target, 3 * 4096, 0, progress=lambda p, a: calls.append((p, a)),
-                        workers=2, max_proposals=200_000)
+                        workers=2)
         assert err.value.requested_n == 3 * 4096
         assert calls[-1] == (err.value.proposals_drawn, err.value.accepted)
+
+    def test_rate_below_floor_stops_despite_acceptances(self):
+        # rate 1e-7: a full chunk would need about 4e10 proposals
+        field = ScalarField.from_text("(x >= 0.9999999)", VarOrder(["x"]))
+        target = validate_target(field, Box([(0, 1)]), 1.0)
+        with pytest.raises(BudgetExhausted) as err:
+            srmc_sample(target, 4096, 1, workers=1)
+        assert err.value.proposals_drawn == 1 << 24
+        assert err.value.accepted >= 1
 
 
 class TestProgress:
