@@ -13,12 +13,12 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import expression
 from .expression import ParseError, VarOrder
+from .floattext import csv_rows
 from .integrator import integrate_direct, integrate_screened
 from .model import (
     ModelValidationError,
@@ -153,9 +153,10 @@ def _parse_model_args(args):
     return variables, box
 
 
-def _write_text(path: str, content: str) -> None:
+def _write_text(path: str, *pieces: str) -> None:
     try:
-        Path(path).write_text(content)
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc}") from None
 
@@ -176,10 +177,8 @@ def _write_record(args, seed: int, seed_text: str, **results) -> None:
 
 
 def _write_csv(path: str, names, points: np.ndarray) -> None:
-    # repr of a list spells each float as repr(float) does; formatting the
-    # whole list at once avoids a numpy scalar per value. Needs >= 1 row.
-    rows = repr(points.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
-    _write_text(path, ",".join(names) + "\n" + rows + "\n")
+    # each value as repr(float) spells it
+    _write_text(path, ",".join(names) + "\n", csv_rows(points))
 
 
 def _sampling_results(meta: RunMetadata) -> dict:

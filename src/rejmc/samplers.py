@@ -16,8 +16,8 @@ A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
 hours.
 
-Chunks, and the integrator's replications, run through ordered_map, the one
-parallel map of the package.
+Chunks, the integrator's replications and the CSV and SVG writers' blocks
+run through ordered_map, the one parallel map of the package.
 """
 from __future__ import annotations
 
@@ -43,19 +43,15 @@ __all__ = [
     "resolve_workers",
     "ordered_map",
     "CHUNK_ACCEPTS",
-    "PROGRESS_INTERVAL",
 ]
 
 CHUNK_ACCEPTS = 4096
-PROGRESS_INTERVAL = 1 << 16
 _MAX_BATCH = 1 << 17
 # a chunk fails once it has drawn _STOP_AFTER proposals at a running rate
 # below _STOP_RATE: at a true rate of 1e-6, accepting nothing by 2^24
 # proposals has probability e^-16.8
 _STOP_AFTER = 1 << 24
 _STOP_RATE = 1e-6
-
-ProgressCallback = Callable[[int, int], None]
 
 
 class BudgetExhausted(RuntimeError):
@@ -115,35 +111,23 @@ def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = N
     return [fut.result() for fut in futures]
 
 
-class _Progress:
-    """Aggregated proposal/acceptance counters shared by all chunks."""
+class _Totals:
+    """Proposal and acceptance totals of all chunks, which BudgetExhausted
+    reports."""
 
-    def __init__(self, callback: ProgressCallback | None):
-        self.callback = callback
+    def __init__(self):
         self.lock = threading.Lock()
         self.proposals = 0
         self.accepted = 0
-        self._next_mark = PROGRESS_INTERVAL
 
     def add(self, proposals: int, accepted: int) -> None:
-        # the callback fires under the lock so observed counts never go
-        # backwards when chunks run on several threads
         with self.lock:
             self.proposals += proposals
             self.accepted += accepted
-            if self.callback is not None and self.proposals >= self._next_mark:
-                self._next_mark = (self.proposals // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
-                self.callback(self.proposals, self.accepted)
 
     def totals(self) -> tuple[int, int]:
         with self.lock:
             return self.proposals, self.accepted
-
-    def fire_final(self) -> tuple[int, int]:
-        snapshot = self.totals()
-        if self.callback is not None:
-            self.callback(*snapshot)
-        return snapshot
 
 
 class _ChunkBudgetExceeded(Exception):
@@ -191,7 +175,7 @@ def _run_chunk(
     chunk_n: int,
     dims: int,
     propose_and_test,
-    progress: _Progress,
+    totals: _Totals,
 ) -> tuple[np.ndarray, int]:
     """Sequential rejection loop for one chunk, batched for speed.
 
@@ -210,14 +194,14 @@ def _run_chunk(
         if hits.size >= need:
             last = int(hits[need - 1])
             taken.append(pts[hits[:need]])
-            progress.add(last + 1, need)
+            totals.add(last + 1, need)
             proposed += last + 1
             accepted = chunk_n
             break
         taken.append(pts[hits])
         accepted += hits.size
         proposed += batch
-        progress.add(batch, hits.size)
+        totals.add(batch, hits.size)
         if proposed >= _STOP_AFTER and accepted < _STOP_RATE * proposed:
             raise _ChunkBudgetExceeded()
     points = np.concatenate(taken, axis=0) if taken else np.empty((0, dims))
@@ -237,7 +221,6 @@ def _run_chunked(
     stream: RandomStream | int,
     propose_and_test,
     bound_for_meta: float,
-    progress: ProgressCallback | None,
     workers: int | None,
 ) -> SampleBatch:
     if n < 1:
@@ -245,7 +228,7 @@ def _run_chunked(
     t0 = time.perf_counter()
     run_seed = capture_seed(stream)
     plan = _chunk_plan(n)
-    tracker = _Progress(progress)
+    tracker = _Totals()
 
     def work(i: int) -> tuple[np.ndarray, int]:
         return _run_chunk(substream(run_seed, i), plan[i], dims, propose_and_test, tracker)
@@ -253,7 +236,7 @@ def _run_chunked(
     try:
         results = ordered_map(work, len(plan), workers)
     except _ChunkBudgetExceeded:
-        proposals, accepted = tracker.fire_final()
+        proposals, accepted = tracker.totals()
         raise BudgetExhausted(proposals, accepted, n) from None
 
     points = np.concatenate([r[0] for r in results], axis=0)
@@ -276,7 +259,6 @@ def srmc_sample(
     n: int,
     stream: RandomStream | int,
     *,
-    progress: ProgressCallback | None = None,
     workers: int | None = None,
 ) -> SampleBatch:
     """Draw n samples from the target via uniform proposals on its box.
@@ -298,7 +280,7 @@ def srmc_sample(
         y = c * u[:, d]
         return pts, field(pts) > y
 
-    return _run_chunked(n, d, stream, propose_and_test, c, progress, workers)
+    return _run_chunked(n, d, stream, propose_and_test, c, workers)
 
 
 def grmc_sample(
@@ -307,7 +289,6 @@ def grmc_sample(
     n: int,
     stream: RandomStream | int,
     *,
-    progress: ProgressCallback | None = None,
     workers: int | None = None,
 ) -> SampleBatch:
     """Draw n samples using a piecewise-uniform proposal.
@@ -346,4 +327,4 @@ def grmc_sample(
             return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
-    return _run_chunked(n, d, stream, propose_and_test, effective_c, progress, workers)
+    return _run_chunked(n, d, stream, propose_and_test, effective_c, workers)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .floattext import svg_circles
 from .model import Box
 
 __all__ = ["scatter_svg"]
@@ -46,8 +47,4 @@ def scatter_svg(points: np.ndarray, box: Box, names: tuple[str, str]) -> str:
         f'text-anchor="middle" transform="rotate(-90 {_MARGIN - 40} {_VIEW // 2})">'
         f"{names[1]}</text>",
     ]
-    # Python floats format faster than numpy scalars, with the same digits
-    circle = '<circle cx="%.2f" cy="%.2f" r="1"/>'
-    lines.extend(circle % xy for xy in zip(px.tolist(), py.tolist()))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + svg_circles(px, py) + "</svg>\n"

@@ -261,7 +261,7 @@ def _rows(text, *rows):
     return parse(text, NAMES[: pts.shape[1]]), [pts[:, i] for i in range(pts.shape[1])]
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(evaluator_cases())
 @example(_rows("1 / x + log(x)", [1.0], [0.0]))
 @example(_rows("log(x) + 1 / x", [-0.0]))

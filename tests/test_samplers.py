@@ -31,6 +31,23 @@ def sine_target(sine_field, sine_box):
     return validate_target(sine_field, sine_box, 1.1)
 
 
+@pytest.fixture
+def uniforms_drawn(monkeypatch):
+    """A one-item list counting the uniforms that RandomStream draws in
+    blocks, on every thread."""
+    drawn = [0]
+    lock = threading.Lock()
+    draw = RandomStream.uniform01_block
+
+    def counting(stream, count, out=None):
+        with lock:
+            drawn[0] += count
+        return draw(stream, count, out)
+
+    monkeypatch.setattr(RandomStream, "uniform01_block", counting)
+    return drawn
+
+
 class TestEstimateBound:
     def test_sine_grid_hits_peak(self, sine_field, sine_box):
         # 1025 is odd, so the grid contains pi/2
@@ -294,26 +311,25 @@ class TestBudget:
         assert exc.acceptance_rate == 0.0
         assert exc.requested_n == 1
 
-    def test_budget_error_final_callback_matches_payload(self):
+    def test_budget_error_payload_counts_every_proposal(self, uniforms_drawn):
         field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
-        calls = []
+        uniforms_drawn[0] = 0  # not the probes of validate_target
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 1, 0, progress=lambda p, a: calls.append((p, a)))
-        assert calls, "expected progress callbacks past 2^16 proposals"
-        assert calls[-1] == (err.value.proposals_drawn, err.value.accepted)
-        proposals = [p for p, _ in calls]
-        assert proposals == sorted(proposals)
+            srmc_sample(target, 1, 0)
+        # a 1-D proposal draws two uniforms
+        assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
-    def test_multi_chunk_threaded_failure_reports_payload(self):
+    def test_multi_chunk_threaded_failure_reports_payload(self, uniforms_drawn):
         field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
-        calls = []
+        uniforms_drawn[0] = 0
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 3 * 4096, 0, progress=lambda p, a: calls.append((p, a)),
-                        workers=2)
+            srmc_sample(target, 3 * 4096, 0, workers=2)
         assert err.value.requested_n == 3 * 4096
-        assert calls[-1] == (err.value.proposals_drawn, err.value.accepted)
+        # the totals of every chunk that ran, summed under the lock
+        assert err.value.proposals_drawn >= 1 << 24
+        assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
     def test_rate_below_floor_stops_despite_acceptances(self):
         # rate 1e-7: a full chunk would need about 4e10 proposals
@@ -323,30 +339,6 @@ class TestBudget:
             srmc_sample(target, 4096, 1, workers=1)
         assert err.value.proposals_drawn == 1 << 24
         assert err.value.accepted >= 1
-
-
-class TestProgress:
-    def test_no_callbacks_for_small_runs(self, sine_target):
-        calls = []
-        srmc_sample(sine_target, 50, 1, progress=lambda p, a: calls.append((p, a)))
-        assert calls == []
-
-    def test_counts_nondecreasing(self, sine_target):
-        calls = []
-        srmc_sample(
-            sine_target, 50_000, 9, progress=lambda p, a: calls.append((p, a)), workers=1
-        )
-        assert calls, "expected at least one callback (about 86k proposals)"
-        assert all(c1 <= c2 for c1, c2 in zip(calls, calls[1:]))
-
-    def test_counts_nondecreasing_with_threads(self, gauss_field, gauss_box):
-        target = validate_target(gauss_field, gauss_box, GAUSS_C_LOOSE)
-        calls = []
-        srmc_sample(
-            target, 30_000, 9, progress=lambda p, a: calls.append((p, a)), workers=8
-        )
-        assert len(calls) >= 3  # ~500k proposals cross several 2^16 marks
-        assert all(c1 <= c2 for c1, c2 in zip(calls, calls[1:]))
 
 
 class TestOrderedMap:
