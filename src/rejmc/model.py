@@ -18,7 +18,7 @@ slabs and refuses a grid of more than 2^28 points before evaluating any.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -57,6 +57,11 @@ SAFETY = 1.2
 # a histogram proposal's grid splits each cell edge this many times
 _REFINEMENT = 8
 
+# a histogram proposal's per-cell tables (heights, masses, positive-cell
+# index, cumulative mass) hold at most this many cells. It binds only in
+# 1-D: with 9 grid points per cell edge, _GRID_LIMIT refuses more than
+# 2^28/81 (about 3.3e6) cells in 2-D, but lets up to 2^28/9 (about 3.0e7)
+# cells through in 1-D
 MAX_GRID_POINTS = 1 << 22
 # grid_reduce evaluates at most this many points at once (unless the fewest
 # cells a slab may hold have more) and refuses grids larger than the limit
@@ -348,8 +353,8 @@ def estimate_bound_argmax(
     and the grid point of the (first) maximum."""
     if grid_per_dim < 2:
         raise ValueError(f"bound grid needs at least 2 points per dimension, got {grid_per_dim}")
-    if safety < 1.0:
-        raise ValueError("safety factor must be at least 1")
+    if not (math.isfinite(safety) and safety >= 1.0):
+        raise ValueError(f"safety factor must be finite and at least 1, got {safety}")
     check_grid_size([grid_per_dim] * box.dims)
     axes = [np.linspace(lo, hi, grid_per_dim) for lo, hi in box.bounds]
     vals = grid_reduce(field, axes, 1, np.max)
@@ -365,11 +370,10 @@ class PiecewiseUniformProposal:
     box: Box
     bins: tuple[int, ...]
     heights: np.ndarray  # shape == bins
-    cell_volume: float
     total_mass: float
     # flat (C-order) tables over positive-mass cells, for inverse-CDF lookup
-    positive_cells: np.ndarray = dataclass_field(repr=False, default=None)
-    cumulative: np.ndarray = dataclass_field(repr=False, default=None)
+    positive_cells: np.ndarray
+    cumulative: np.ndarray
 
     @property
     def cell_count(self) -> int:
@@ -437,7 +441,6 @@ def build_piecewise_proposal(
         box=box,
         bins=bins,
         heights=heights,
-        cell_volume=cell_volume,
         total_mass=total,
         positive_cells=positive,
         cumulative=cum,

@@ -2,9 +2,9 @@
 
 srmc_sample draws proposals uniformly on the support box against a constant
 envelope c (accept when f(x) > c*u, u ~ U[0,1)); grmc_sample draws from a
-piecewise-uniform proposal and accepts when f(x)/h_cell >= u. The comparison
-direction differs on purpose: each mirrors its algorithm as printed, and the
-boundary event has probability zero.
+piecewise-uniform proposal and accepts when f(x)/h_cell >= u. A one-cell
+proposal is the constant envelope c = h_cell, so grmc_sample runs srmc's
+propose-and-test for it and reproduces srmc_sample draw for draw.
 
 Requested sample counts are split into chunks of 4096 acceptances, each run
 on substream(seed, chunk_index) and merged in chunk order, so results are a
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
+from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
 # re-exported: bench/tracer.py wraps it under this module's name
 from .model import estimate_bound_argmax
 from .randomness import RandomStream, capture_seed, scale_to_box, substream
@@ -111,25 +111,6 @@ def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = N
     return [fut.result() for fut in futures]
 
 
-class _Totals:
-    """Proposal and acceptance totals of all chunks, which BudgetExhausted
-    reports."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.proposals = 0
-        self.accepted = 0
-
-    def add(self, proposals: int, accepted: int) -> None:
-        with self.lock:
-            self.proposals += proposals
-            self.accepted += accepted
-
-    def totals(self) -> tuple[int, int]:
-        with self.lock:
-            return self.proposals, self.accepted
-
-
 class _ChunkBudgetExceeded(Exception):
     pass
 
@@ -171,48 +152,33 @@ def _next_batch_size(target: int, accepted: int, proposed: int) -> int:
 
 
 def _run_chunk(
-    stream: RandomStream,
-    chunk_n: int,
-    dims: int,
-    propose_and_test,
-    totals: _Totals,
-) -> tuple[np.ndarray, int]:
+    stream: RandomStream, chunk_n: int, propose_and_test, tally: list[int]
+) -> np.ndarray:
     """Sequential rejection loop for one chunk, batched for speed.
 
     ``propose_and_test(stream, batch)`` returns (points, accept_mask). The
     final batch is trimmed at the accepting proposal that completes the
     chunk, so proposal counts match the plain sequential loop exactly.
+    ``tally`` is the chunk's [proposals, accepted], which only this call
+    writes; it is current after every batch, also when the chunk fails.
     """
     taken: list[np.ndarray] = []
-    accepted = 0
-    proposed = 0
-    while accepted < chunk_n:
+    proposed = accepted = 0
+    while True:
         batch = _next_batch_size(chunk_n, accepted, proposed)
         pts, ok = propose_and_test(stream, batch)
         hits = np.nonzero(ok)[0]
         need = chunk_n - accepted
         if hits.size >= need:
-            last = int(hits[need - 1])
             taken.append(pts[hits[:need]])
-            totals.add(last + 1, need)
-            proposed += last + 1
-            accepted = chunk_n
-            break
+            tally[:] = proposed + int(hits[need - 1]) + 1, chunk_n
+            return np.concatenate(taken, axis=0)
         taken.append(pts[hits])
-        accepted += hits.size
         proposed += batch
-        totals.add(batch, hits.size)
+        accepted += hits.size
+        tally[:] = proposed, accepted
         if proposed >= _STOP_AFTER and accepted < _STOP_RATE * proposed:
             raise _ChunkBudgetExceeded()
-    points = np.concatenate(taken, axis=0) if taken else np.empty((0, dims))
-    return points, proposed
-
-
-def _chunk_plan(n: int) -> list[int]:
-    plan = [CHUNK_ACCEPTS] * (n // CHUNK_ACCEPTS)
-    if n % CHUNK_ACCEPTS:
-        plan.append(n % CHUNK_ACCEPTS)
-    return plan
 
 
 def _run_chunked(
@@ -227,20 +193,21 @@ def _run_chunked(
         raise ValueError("requested sample count must be at least 1")
     t0 = time.perf_counter()
     run_seed = capture_seed(stream)
-    plan = _chunk_plan(n)
-    tracker = _Totals()
+    sizes = [min(CHUNK_ACCEPTS, n - start) for start in range(0, n, CHUNK_ACCEPTS)]
+    tallies = [[0, 0] for _ in sizes]
 
-    def work(i: int) -> tuple[np.ndarray, int]:
-        return _run_chunk(substream(run_seed, i), plan[i], dims, propose_and_test, tracker)
+    def work(i: int) -> np.ndarray:
+        return _run_chunk(substream(run_seed, i), sizes[i], propose_and_test, tallies[i])
 
     try:
-        results = ordered_map(work, len(plan), workers)
+        chunks = ordered_map(work, len(sizes), workers)
     except _ChunkBudgetExceeded:
-        proposals, accepted = tracker.totals()
-        raise BudgetExhausted(proposals, accepted, n) from None
+        chunks = None
+    # ordered_map has joined every call that ran, so no tally changes now
+    proposals, accepted = (sum(column) for column in zip(*tallies))
+    if chunks is None:
+        raise BudgetExhausted(proposals, accepted, n)
 
-    points = np.concatenate([r[0] for r in results], axis=0)
-    proposals = sum(r[1] for r in results)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     meta = RunMetadata(
         seed=run_seed,
@@ -251,7 +218,22 @@ def _run_chunked(
         wall_time_ms=elapsed_ms,
         bound_c=bound_for_meta,
     )
-    return SampleBatch(dims=dims, points=points, meta=meta)
+    return SampleBatch(dims=dims, points=np.concatenate(chunks, axis=0), meta=meta)
+
+
+def _uniform_box_test(field: ScalarField, box: Box, c: float):
+    """Propose-and-test of a constant envelope c: x uniform on the box
+    (dims draws), y = c * u (one draw); accept x iff f(x) > y."""
+    d = box.dims
+    lower, widths = box.lower, box.widths
+    ws = _Workspace()
+
+    def propose_and_test(local: RandomStream, batch: int):
+        u = ws.uniforms(local, batch, d + 1)
+        pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
+        return pts, field(pts) > c * u[:, d]
+
+    return propose_and_test
 
 
 def srmc_sample(
@@ -269,18 +251,8 @@ def srmc_sample(
     proposals at a running acceptance rate below 1e-6.
     """
     box = target.support
-    d = box.dims
-    lower, widths = box.lower, box.widths
-    field, c = target.field, target.bound_c
-    ws = _Workspace()
-
-    def propose_and_test(local: RandomStream, batch: int):
-        u = ws.uniforms(local, batch, d + 1)
-        pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
-        y = c * u[:, d]
-        return pts, field(pts) > y
-
-    return _run_chunked(n, d, stream, propose_and_test, c, workers)
+    propose_and_test = _uniform_box_test(target.field, box, target.bound_c)
+    return _run_chunked(n, box.dims, stream, propose_and_test, target.bound_c, workers)
 
 
 def grmc_sample(
@@ -294,30 +266,23 @@ def grmc_sample(
     """Draw n samples using a piecewise-uniform proposal.
 
     Per proposal: a cell is selected proportionally to its mass (inverse CDF
-    over the cumulative mass table; a one-cell partition consumes no draw and
-    the algorithm degenerates to srmc_sample), x is uniform within the cell,
-    and x is accepted iff f(x)/h_cell >= u. The metadata's bound_c records
-    the effective constant total_mass/volume.
+    over the cumulative mass table), x is uniform within the cell, and x is
+    accepted iff f(x)/h_cell >= u. A one-cell partition is the constant
+    envelope c = h_cell: it consumes no cell draw and runs srmc_sample's
+    propose-and-test (accept iff f(x) > c*u), so it reproduces srmc_sample
+    at bound_c = h_cell draw for draw. The metadata's bound_c records the
+    effective constant total_mass/volume.
     """
     box = proposal.box
     d = box.dims
-    single_cell = proposal.cell_count == 1
-    cell_widths = proposal.cell_widths
-    cum = proposal.cumulative
-    positive = proposal.positive_cells
     heights_flat = proposal.heights.ravel()
-    ws = _Workspace()
 
-    if single_cell:
-        h0 = float(heights_flat[0])
-        lower, widths = box.lower, box.widths
-
-        def propose_and_test(local: RandomStream, batch: int):
-            u = ws.uniforms(local, batch, d + 1)
-            pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
-            return pts, field(pts) / h0 >= u[:, d]
-
+    if proposal.cell_count == 1:
+        propose_and_test = _uniform_box_test(field, box, float(heights_flat[0]))
     else:
+        cell_widths = proposal.cell_widths
+        cum, positive = proposal.cumulative, proposal.positive_cells
+        ws = _Workspace()
 
         def propose_and_test(local: RandomStream, batch: int):
             u = ws.uniforms(local, batch, d + 2)

@@ -36,6 +36,8 @@ __all__ = [
 KS_THRESHOLDS = {0.05: 1.358, 0.01: 1.628}
 _CHI2_CONFIDENCE = 0.999
 _QUADRATURE_PER_DIM = 32
+# cells expected to hold fewer samples are merged into a neighbor
+_MIN_EXPECTED = 5.0
 _BLOCK_ROWS = 65536
 
 
@@ -162,10 +164,10 @@ def _cell_neighbors(idx: int, bins: tuple[int, ...]) -> list[int]:
 
 
 def _merge_small_cells(
-    observed: np.ndarray, expected: np.ndarray, bins: tuple[int, ...], min_expected: float = 5.0
+    observed: np.ndarray, expected: np.ndarray, bins: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union-find merge of cells with expected count below the minimum into
-    their largest neighboring group, scanning in row-major order."""
+    """Union-find merge of cells with expected count below _MIN_EXPECTED
+    into their largest neighboring group, scanning in row-major order."""
     ncells = observed.size
     parent = np.arange(ncells)
 
@@ -181,7 +183,7 @@ def _merge_small_cells(
         changed = False
         for idx in range(ncells):
             g = find(idx)
-            if group_exp[g] >= min_expected:
+            if group_exp[g] >= _MIN_EXPECTED:
                 continue
             candidates = {find(nb) for nb in _cell_neighbors(idx, bins)} - {g}
             if not candidates:
@@ -200,11 +202,13 @@ def _merge_small_cells(
 def chi_square_bins(dims: int, bins_per_dim: int | Sequence[int]) -> tuple[int, ...]:
     """Bins per dimension for chi_square_box on a dims-D box.
 
-    Raises ValueError, as chi_square_box would, for bad bin counts or a
-    quadrature grid too large for grid_reduce, so a caller can check its
-    arguments before it samples.
+    Raises ValueError, as chi_square_box would, for bad bin counts, a
+    partition of fewer than 2 cells or a quadrature grid too large for
+    grid_reduce, so a caller can check its arguments before it samples.
     """
     bins = bin_counts(bins_per_dim, dims)
+    if math.prod(bins) < 2:
+        raise ValueError("the chi-square test needs at least 2 cells; use more bins")
     check_grid_size([b * _QUADRATURE_PER_DIM for b in bins])
     return bins
 

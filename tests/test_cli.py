@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import rejmc.cli as cli
+import rejmc.model as model
 from rejmc import BudgetExhausted, ScalarField
 from conftest import GAUSS_DENSITY, GAUSS_MAX, SINE_CDF, SINE_DENSITY, subprocess_env
 
@@ -148,6 +149,23 @@ class TestSample:
         assert (tmp_path / "d1/scatter.svg").read_bytes() == (
             tmp_path / "d2/scatter.svg"
         ).read_bytes()
+
+    def test_partition_over_the_cell_limit_refused_before_evaluation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 4194305 cells of 9 grid points each pass the 2^28-point grid limit
+        def never(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(model, "grid_reduce", never)
+        refuse_sampling(monkeypatch)
+        args = [
+            "sample", "--density", "1", "--vars", "x", "--box", "0:1", "--bound-c", "1.2",
+            "--n", "10", "--seed", "1", "--bins", "4194305",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "partition has 4194305 cells; limit is 4194304" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_requires_2d(self, tmp_path, monkeypatch):
         refuse_sampling(monkeypatch)
@@ -360,6 +378,18 @@ class TestValidate:
         assert meta["gof"]["kind"] == "chi_square"
         assert meta["gof"]["dof"] == 26
 
+    def test_one_chi_square_cell_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        refuse_sampling(monkeypatch)
+        args = [
+            "validate", "--density", "exp(-(x^2+y^2))", "--vars", "x,y", "--box", "-2:2,-2:2",
+            "--n", "20000", "--seed", "1", "--bins", "1",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "the chi-square test needs at least 2 cells; use more bins" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_4d_default_bins_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
         # 8 bins of 32 quadrature points per dimension: 256^4 grid points
         args = [
@@ -469,6 +499,15 @@ class TestBound:
         err = capsys.readouterr().err
         assert "bound grid needs at least 2 points per dimension, got 1" in err
         assert "grid_per_dim" not in err
+
+    @pytest.mark.parametrize("safety", ["0.5", "nan", "inf"])
+    def test_safety_not_finite_or_below_one_is_usage_error(
+        self, safety, tmp_path, monkeypatch, capsys
+    ):
+        args = ["bound", "--density", "1", "--vars", "x", "--box", "0:1", "--safety", safety]
+        assert run(args, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert f"safety factor must be finite and at least 1, got {float(safety)}" in err
 
     def test_takes_no_seed(self, tmp_path, monkeypatch):
         args = ["bound", "--density", "1", "--vars", "x", "--box", "0:1", "--seed", "1"]

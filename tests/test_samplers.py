@@ -184,6 +184,17 @@ class TestSrmc:
         assert batch.meta.bound_c == 1.1
 
 
+class FixedUniforms:
+    """A stream whose uniform01_block hands out the given values in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniform01_block(self, count, out=None):
+        out[:] = self.values[:count]
+        return out
+
+
 class TestGrmc:
     def test_single_cell_reproduces_srmc_bit_exactly(self, sine_field, sine_box):
         prop = build_piecewise_proposal(sine_field, sine_box, 1)
@@ -194,6 +205,25 @@ class TestGrmc:
             b = grmc_sample(sine_field, prop, 4000, seed)
             assert np.array_equal(a.points, b.points)
             assert a.meta.proposals_drawn == b.meta.proposals_drawn
+
+    def test_single_cell_breaks_ties_as_srmc_does(self, monkeypatch):
+        # f = 1 under h0 = 1.2: f/h0 == 0.8333333333333334 == u, but
+        # h0 * u rounds to 1.0, so f > h0*u rejects the first proposal
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, d, stream, propose, *rest: propose)
+        field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
+        box = Box([(0, 1)])
+        prop = build_piecewise_proposal(field, box, 1)
+        h0 = float(prop.heights.ravel()[0])
+        assert h0 == 1.2
+        one_cell = grmc_sample(field, prop, 1, 0)
+        srmc = srmc_sample(validate_target(field, box, h0), 1, 0)
+        # two proposals of (x, u): the tie, then a clear acceptance
+        block = [0.5, 0.8333333333333334, 0.25, 0.5]
+        pts_a, ok_a = one_cell(FixedUniforms(block), 2)
+        pts_b, ok_b = srmc(FixedUniforms(block), 2)
+        assert ok_b.tolist() == [False, True]
+        assert ok_a.tolist() == ok_b.tolist()
+        assert np.array_equal(pts_a, pts_b)
 
     def test_refined_proposal_accepts_more(self, sine_field, sine_box):
         single = build_piecewise_proposal(sine_field, sine_box, 1)
@@ -327,7 +357,7 @@ class TestBudget:
         with pytest.raises(BudgetExhausted) as err:
             srmc_sample(target, 3 * 4096, 0, workers=2)
         assert err.value.requested_n == 3 * 4096
-        # the totals of every chunk that ran, summed under the lock
+        # the tallies of every chunk that ran, summed once all have ended
         assert err.value.proposals_drawn >= 1 << 24
         assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
