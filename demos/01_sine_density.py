@@ -22,7 +22,7 @@ target = validate_target(field, box, bound_c=1.1)
 
 # 2. Draw 10000 samples. Everything is seeded: rerunning this script
 #    reproduces the identical batch, bit for bit.
-batch = srmc_sample(target, 10_000, stream=1)
+batch = srmc_sample(target, 10_000, seed=1)
 meta = batch.meta
 print(f"accepted {meta.accepted} of {meta.proposals_drawn} proposals")
 print(f"empirical acceptance rate  {meta.acceptance_rate:.4f}")

@@ -29,7 +29,7 @@ target = validate_target(field, box, bound_c=0.1657)
 print("   n      acceptance   corr(x, y)")
 batch = None
 for n in (1_000, 10_000, 100_000):
-    batch = srmc_sample(target, n, stream=42)
+    batch = srmc_sample(target, n, seed=42)
     stats = summarize(batch)
     print(f"{n:>8}   {batch.meta.acceptance_rate:.4f}       {stats.correlation[0, 1]:+.4f}")
 

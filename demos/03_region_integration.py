@@ -25,15 +25,15 @@ box = Box([(0, 4), (0, 2)])
 EXACT = 6.0
 print("      n    screened    deviation      direct    deviation")
 for n in (100, 1_000, 10_000, 100_000):
-    screened = integrate_screened(g, region, box, n, reps=10, stream=7)
-    direct = integrate_direct(g, region, box, n, reps=10, stream=7)
+    screened = integrate_screened(g, region, box, n, reps=10, seed=7)
+    direct = integrate_direct(g, region, box, n, reps=10, seed=7)
     print(
         f"{n:>7}    {screened.value:8.4f}    {screened.value - EXACT:+9.4f}"
         f"    {direct.value:8.4f}    {direct.value - EXACT:+9.4f}"
     )
 
 # Uncertainty comes from 10 independent replications per estimate.
-final = integrate_screened(g, region, box, 100_000, reps=10, stream=7)
+final = integrate_screened(g, region, box, 100_000, reps=10, seed=7)
 print(f"\nscreened at n=100000: {final.value:.4f} +/- {final.std_error:.4f}")
 print(f"exact value:          {EXACT:.4f}")
 print(f"in-region fraction:   {final.n_in_region / final.n_screened:.4f}")

@@ -29,14 +29,14 @@ for bins in (1, 4, 16, 64):
     print(f"{bins:>4}    {prop.total_mass:.5f}          {1 / prop.total_mass:.4f}")
 
 # 2. Sampling with the 64-cell envelope: acceptance close to 1/M.
-batch = grmc_sample(field, proposals[64], 50_000, stream=3)
+batch = grmc_sample(field, proposals[64], 50_000, seed=3)
 print(f"\n64-cell empirical acceptance: {batch.meta.acceptance_rate:.4f}")
 
 # 3. One cell degenerates to the constant-envelope sampler, bit for bit.
 single = proposals[1]
 c = float(single.heights.ravel()[0])
 target = validate_target(field, box, bound_c=c)
-a = srmc_sample(target, 5_000, stream=11)
-b = grmc_sample(field, single, 5_000, stream=11)
+a = srmc_sample(target, 5_000, seed=11)
+b = grmc_sample(field, single, 5_000, seed=11)
 print(f"single-cell grmc == srmc: {np.array_equal(a.points, b.points)}")
 print(f"identical proposal counts: {a.meta.proposals_drawn == b.meta.proposals_drawn}")

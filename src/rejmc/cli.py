@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -42,6 +43,11 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_VALIDATION = 4
+
+# validate's --bins and --alpha defaults, which run.json records whatever
+# the dimension
+_BINS = 8
+_ALPHA = 0.01
 
 
 class _UsageError(Exception):
@@ -106,8 +112,8 @@ def _build_parser() -> _ArgumentParser:
     seed(p)
     p.add_argument("--bound-c", type=float, default=None, help="envelope constant")
     p.add_argument("--cdf", default=None, help="reference CDF expression (1-D KS test)")
-    p.add_argument("--bins", type=int, default=8, help="bins per dimension (chi-square test)")
-    p.add_argument("--alpha", type=float, default=0.01, choices=[0.05, 0.01])
+    p.add_argument("--bins", type=int, default=_BINS, help="bins per dimension (chi-square test)")
+    p.add_argument("--alpha", type=float, default=_ALPHA, choices=[0.05, 0.01], help="KS level")
     p.add_argument("--meta", default="run.json", help="metadata JSON path")
 
     p = sub.add_parser("bound", help="estimate the envelope constant on a grid")
@@ -200,8 +206,12 @@ def _gof_payload(report: GofReport) -> dict:
     }
 
 
-def _report_wall_time(ms: float) -> None:
-    print(f"wall_time_ms={ms:.3f}", file=sys.stderr)
+def _timed(run, *args):
+    """run(*args), with its wall time reported on stderr."""
+    t0 = time.perf_counter()
+    result = run(*args)
+    print(f"wall_time_ms={(time.perf_counter() - t0) * 1000.0:.3f}", file=sys.stderr)
+    return result
 
 
 def _cmd_sample(args) -> int:
@@ -215,17 +225,16 @@ def _cmd_sample(args) -> int:
         bins = [int(b) for b in str(args.bins).split(",")]
         validate_target(field, box, args.bound_c)
         proposal = build_piecewise_proposal(field, box, bins if len(bins) > 1 else bins[0])
-        batch = grmc_sample(field, proposal, args.n, seed)
+        batch = _timed(grmc_sample, field, proposal, args.n, seed)
     else:
         target = validate_target(field, box, args.bound_c)
-        batch = srmc_sample(target, args.n, seed)
+        batch = _timed(srmc_sample, target, args.n, seed)
 
     _write_csv(args.csv, variables.names, batch.points)
     meta = batch.meta
     _write_record(args, seed, seed_text, **_sampling_results(meta))
     if args.plot is not None:
         _write_text(args.plot, scatter_svg(batch.points, box, variables.names[:2]))
-    _report_wall_time(meta.wall_time_ms)
     print(
         f"accepted {meta.accepted} of {meta.proposals_drawn} proposals "
         f"(rate {meta.acceptance_rate:.6g}) -> {args.csv}"
@@ -263,8 +272,12 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_validate(args) -> int:
     variables, box = _parse_model_args(args)
-    # usage errors must surface before the sampling run, not after it
+    # usage errors must surface before the sampling run, not after it. A
+    # flag the test does not read may hold only the value run.json records
+    # for it, so that a recorded config still re-runs
     if box.dims == 1:
+        if args.bins != _BINS:
+            raise _UsageError("--bins applies only to the chi-square test of 2-D or more")
         if args.cdf is None:
             raise _UsageError("1-D validation needs --cdf")
         cdf_node = expression.parse(args.cdf, variables)
@@ -273,11 +286,18 @@ def _cmd_validate(args) -> int:
             return expression.evaluate_batch(cdf_node, xs.reshape(-1, 1))
 
     else:
+        if args.cdf is not None:
+            raise _UsageError("--cdf applies only to the KS test of 1-D")
+        if args.alpha != _ALPHA:
+            raise _UsageError(
+                "--alpha applies only to the KS test of 1-D; "
+                "the chi-square threshold is the 0.999 quantile"
+            )
         chi_square_bins(box.dims, args.bins)
     seed, seed_text = _resolve_seed(args)
     field = ScalarField.from_text(args.density, variables)
     target = validate_target(field, box, args.bound_c)
-    batch = srmc_sample(target, args.n, seed)
+    batch = _timed(srmc_sample, target, args.n, seed)
 
     if box.dims == 1:
         report = ks_test_1d(np.sort(batch.points[:, 0]), cdf, args.alpha)
@@ -285,7 +305,6 @@ def _cmd_validate(args) -> int:
         report = chi_square_box(batch, target, args.bins)
 
     _write_record(args, seed, seed_text, **_sampling_results(batch.meta), gof=_gof_payload(report))
-    _report_wall_time(batch.meta.wall_time_ms)
     verdict = "PASS" if report.passed else "FAIL"
     dof = f", dof={report.dof}" if report.dof is not None else ""
     print(

@@ -9,7 +9,10 @@ independent cross-check; it also accepts signed integrands.
 
 Uncertainty comes from independent replications: each replication runs on
 substream(seed, replication_index) and the reported standard error is the
-replication standard deviation over sqrt(R).
+replication standard deviation over sqrt(R). Replications run through
+ordered_map on up to RMC_THREADS threads; the screened estimator's sampler
+seeds itself with the replication stream's state after the uniform batch,
+and runs serially inside a replication on the pool.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .expression import Node
 from .model import Box, ScalarField, validate_target
-from .randomness import RandomStream, capture_seed, substream, uniform_box_block
+from .randomness import capture_seed, substream, uniform_box_block
 from .samplers import ordered_map, srmc_sample
 
 __all__ = ["IntegralEstimate", "integrate_screened", "integrate_direct"]
@@ -65,9 +68,7 @@ def integrate_screened(
     box: Box,
     n: int,
     reps: int,
-    stream: RandomStream | int,
-    *,
-    workers: int | None = None,
+    seed: int,
 ) -> IntegralEstimate:
     """Indicator-screening estimate of the integral of g over the region.
 
@@ -80,18 +81,18 @@ def integrate_screened(
         raise ValueError("n and reps must be at least 1")
     indicator = ScalarField(region, g.vars)
     target = validate_target(g, box)
-    run_seed = capture_seed(stream)
+    run_seed = capture_seed(seed)
     vol = box.volume
 
     def one_rep(r: int) -> tuple[float, int, int, int]:
         rs = substream(run_seed, r)
         uniform = uniform_box_block(rs, box, n)
         a = vol * float(np.mean(g(uniform)))
-        batch = srmc_sample(target, n, rs, workers=1)
+        batch = srmc_sample(target, n, rs.state)
         in_region = int(np.count_nonzero(indicator(batch.points) == 1.0))
         return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted
 
-    results = ordered_map(one_rep, reps, workers)
+    results = ordered_map(one_rep, reps)
     values = [r[0] for r in results]
     value, stderr = _aggregate(values)
     return IntegralEstimate(
@@ -114,9 +115,7 @@ def integrate_direct(
     box: Box,
     n: int,
     reps: int,
-    stream: RandomStream | int,
-    *,
-    workers: int | None = None,
+    seed: int,
 ) -> IntegralEstimate:
     """Plain Monte Carlo estimate vol*mean(g*indicator) over uniform draws.
 
@@ -125,7 +124,7 @@ def integrate_direct(
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
     indicator = ScalarField(region, g.vars)
-    run_seed = capture_seed(stream)
+    run_seed = capture_seed(seed)
     vol = box.volume
 
     def one_rep(r: int) -> float:
@@ -133,7 +132,7 @@ def integrate_direct(
         inside = indicator(uniform)
         return vol * float(np.mean(g(uniform) * inside))
 
-    values = ordered_map(one_rep, reps, workers)
+    values = ordered_map(one_rep, reps)
     value, stderr = _aggregate(values)
     return IntegralEstimate(
         value=value,

@@ -7,9 +7,7 @@ keeps every validation decision reproducible.
 
 A bounded box is required even for targets whose support is unbounded; the
 sampler then draws from the renormalized truncation of the density to the
-box. ``validate_target(..., estimate_truncation=True)`` attaches a plain
-Monte Carlo estimate of the mass lost to truncation (meaningful when the
-field is a normalized density).
+box.
 
 Every regular-grid evaluation (bound, histogram envelope, chi-square
 quadrature) goes through ``grid_reduce``, which evaluates in bounded-memory
@@ -179,7 +177,6 @@ class TargetSpec:
     field: ScalarField
     support: Box
     bound_c: float
-    truncation_estimate: float | None = None
 
     def __post_init__(self):
         if self.field.dims != self.support.dims:
@@ -192,37 +189,40 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class RunMetadata:
-    """Provenance of one sampling run."""
+    """Provenance of one sampling run: a function of (inputs, seed) alone,
+    so two runs of the same inputs and seed have equal metadata."""
 
     seed: int
-    requested_n: int
     proposals_drawn: int
     accepted: int
-    acceptance_rate: float
-    wall_time_ms: float
     bound_c: float
 
     def __post_init__(self):
         if self.accepted > self.proposals_drawn:
             raise ValueError("accepted count cannot exceed proposals drawn")
-        if not 0.0 <= self.acceptance_rate <= 1.0:
-            raise ValueError(f"acceptance rate out of range: {self.acceptance_rate!r}")
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals_drawn
 
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Accepted draws (acceptance order) plus run provenance."""
 
-    dims: int
     points: np.ndarray  # (accepted, dims) float64
     meta: RunMetadata
 
     def __post_init__(self):
-        if self.points.shape != (self.meta.accepted, self.dims):
+        if self.points.ndim != 2 or len(self.points) != self.meta.accepted:
             raise ValueError(
                 f"points shape {self.points.shape} inconsistent with "
-                f"accepted={self.meta.accepted}, dims={self.dims}"
+                f"accepted={self.meta.accepted}"
             )
+
+    @property
+    def dims(self) -> int:
+        return self.points.shape[1]
 
 
 def default_grid(dims: int) -> int:
@@ -238,8 +238,6 @@ def validate_target(
     field: ScalarField,
     box: Box,
     bound_c: float | None = None,
-    *,
-    estimate_truncation: bool = False,
 ) -> TargetSpec:
     """Probe-validate a target and fix its envelope constant.
 
@@ -250,8 +248,7 @@ def validate_target(
     """
     if field.dims != box.dims:
         raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
-    stream = RandomStream(_VALIDATION_SEED)
-    pts = uniform_box_block(stream, box, _PROBES)
+    pts = uniform_box_block(RandomStream(_VALIDATION_SEED), box, _PROBES)
     vals = field(pts)
 
     bad = ~np.isfinite(vals)
@@ -282,14 +279,7 @@ def validate_target(
             i = int(np.argmax(over))
             raise EnvelopeViolation(pts[i], float(vals[i]), bound_c)
 
-    truncation = None
-    if estimate_truncation:
-        # plain-MC mass inside the box; meaningful for normalized densities
-        extra = uniform_box_block(stream, box, 100_000)
-        inside = box.volume * float(np.mean(field(extra)))
-        truncation = 1.0 - inside
-
-    return TargetSpec(field, box, bound_c, truncation)
+    return TargetSpec(field, box, bound_c)
 
 
 def bin_counts(bins_per_dim: int | Sequence[int], dims: int) -> tuple[int, ...]:

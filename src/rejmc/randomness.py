@@ -4,7 +4,9 @@ The generator is splitmix64: a 64-bit counter advanced by a fixed odd
 increment, pushed through a finalizing mixer. It is fully specified by five
 integer constants, so identical seeds give bit-identical sequences on any
 platform. Streams are single-owner; parallel work derives one independent
-substream per chunk index instead of sharing a stream across threads.
+substream per chunk index instead of sharing a stream across threads, so a
+run's whole random state is its 64-bit seed (capture_seed) plus the index
+of each chunk or replication.
 """
 from __future__ import annotations
 
@@ -98,17 +100,9 @@ class RandomStream:
         return f"RandomStream(state=0x{self.state:016X})"
 
 
-def capture_seed(stream_or_seed: RandomStream | int) -> int:
-    """The run seed of a stream or integer seed.
-
-    An int gives ``seed & MASK64``. A stream gives its current state and is
-    advanced one step, so consecutive runs on one stream differ.
-    """
-    if isinstance(stream_or_seed, RandomStream):
-        seed = stream_or_seed.state
-        stream_or_seed.next_u64()
-        return seed
-    return int(stream_or_seed) & MASK64
+def capture_seed(seed: int) -> int:
+    """The run seed of an integer seed: ``seed & MASK64``."""
+    return int(seed) & MASK64
 
 
 def substream(seed: int, chunk: int) -> RandomStream:

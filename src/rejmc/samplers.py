@@ -9,22 +9,23 @@ propose-and-test for it and reproduces srmc_sample draw for draw.
 Requested sample counts are split into chunks of 4096 acceptances, each run
 on substream(seed, chunk_index) and merged in chunk order, so results are a
 pure function of (inputs, seed) no matter how many worker threads run. The
-worker count comes from the RMC_THREADS environment variable when not passed
-explicitly.
+run seed is an integer; the RMC_THREADS environment variable (default: the
+CPU count) is the only worker control.
 
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
 hours.
 
 Chunks, the integrator's replications and the CSV and SVG writers' blocks
-run through ordered_map, the one parallel map of the package.
+run through ordered_map, the one parallel map of the package. A call made
+from inside another ordered_map call, such as a sampler inside an
+integrator replication, runs serially, so pools never nest.
 """
 from __future__ import annotations
 
 import math
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -70,24 +71,34 @@ class BudgetExhausted(RuntimeError):
         )
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
+# active on the threads of ordered_map's pools, so that calls made there run serially
+_in_pool = threading.local()
+
+
+def resolve_workers() -> int:
+    """The worker count: RMC_THREADS if set, else the CPU count. Raises
+    ValueError when RMC_THREADS is not a positive integer."""
     env = os.environ.get("RMC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RMC_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
-def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = None) -> list:
-    """[fn(0), ..., fn(count - 1)], on up to ``workers`` threads.
+def ordered_map(fn: Callable[[int], object], count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], on up to resolve_workers() threads.
 
     Runs serially in the caller's thread when at most one worker would be
-    busy. Otherwise a call does not start once a call before it has failed,
-    and when the running calls end the first failure in index order is
-    raised.
+    busy, or when called from inside another ordered_map call's pool.
+    Otherwise a call does not start once a call before it has failed, and
+    when the running calls end the first failure in index order is raised.
     """
-    nworkers = min(resolve_workers(workers), count)
+    nworkers = 1 if getattr(_in_pool, "active", False) else min(resolve_workers(), count)
     if nworkers <= 1:
         return [fn(i) for i in range(count)]
     first_failed = count
@@ -97,6 +108,8 @@ def ordered_map(fn: Callable[[int], object], count: int, workers: int | None = N
         nonlocal first_failed
         if i > first_failed:
             return None
+        # the pool's threads serve only this call, so the flag is never reset
+        _in_pool.active = True
         try:
             return fn(i)
         except BaseException:
@@ -181,18 +194,10 @@ def _run_chunk(
             raise _ChunkBudgetExceeded()
 
 
-def _run_chunked(
-    n: int,
-    dims: int,
-    stream: RandomStream | int,
-    propose_and_test,
-    bound_for_meta: float,
-    workers: int | None,
-) -> SampleBatch:
+def _run_chunked(n: int, seed: int, propose_and_test, bound_for_meta: float) -> SampleBatch:
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
-    t0 = time.perf_counter()
-    run_seed = capture_seed(stream)
+    run_seed = capture_seed(seed)
     sizes = [min(CHUNK_ACCEPTS, n - start) for start in range(0, n, CHUNK_ACCEPTS)]
     tallies = [[0, 0] for _ in sizes]
 
@@ -200,25 +205,15 @@ def _run_chunked(
         return _run_chunk(substream(run_seed, i), sizes[i], propose_and_test, tallies[i])
 
     try:
-        chunks = ordered_map(work, len(sizes), workers)
+        chunks = ordered_map(work, len(sizes))
     except _ChunkBudgetExceeded:
         chunks = None
     # ordered_map has joined every call that ran, so no tally changes now
     proposals, accepted = (sum(column) for column in zip(*tallies))
     if chunks is None:
         raise BudgetExhausted(proposals, accepted, n)
-
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    meta = RunMetadata(
-        seed=run_seed,
-        requested_n=n,
-        proposals_drawn=proposals,
-        accepted=n,
-        acceptance_rate=n / proposals,
-        wall_time_ms=elapsed_ms,
-        bound_c=bound_for_meta,
-    )
-    return SampleBatch(dims=dims, points=np.concatenate(chunks, axis=0), meta=meta)
+    meta = RunMetadata(seed=run_seed, proposals_drawn=proposals, accepted=n, bound_c=bound_for_meta)
+    return SampleBatch(points=np.concatenate(chunks, axis=0), meta=meta)
 
 
 def _uniform_box_test(field: ScalarField, box: Box, c: float):
@@ -236,13 +231,7 @@ def _uniform_box_test(field: ScalarField, box: Box, c: float):
     return propose_and_test
 
 
-def srmc_sample(
-    target: TargetSpec,
-    n: int,
-    stream: RandomStream | int,
-    *,
-    workers: int | None = None,
-) -> SampleBatch:
+def srmc_sample(target: TargetSpec, n: int, seed: int) -> SampleBatch:
     """Draw n samples from the target via uniform proposals on its box.
 
     Per proposal: x uniform on the box (dims draws), y = bound_c * u (one
@@ -250,18 +239,12 @@ def srmc_sample(
     order. Raises BudgetExhausted when a chunk has drawn at least 2^24
     proposals at a running acceptance rate below 1e-6.
     """
-    box = target.support
-    propose_and_test = _uniform_box_test(target.field, box, target.bound_c)
-    return _run_chunked(n, box.dims, stream, propose_and_test, target.bound_c, workers)
+    propose_and_test = _uniform_box_test(target.field, target.support, target.bound_c)
+    return _run_chunked(n, seed, propose_and_test, target.bound_c)
 
 
 def grmc_sample(
-    field: ScalarField,
-    proposal: PiecewiseUniformProposal,
-    n: int,
-    stream: RandomStream | int,
-    *,
-    workers: int | None = None,
+    field: ScalarField, proposal: PiecewiseUniformProposal, n: int, seed: int
 ) -> SampleBatch:
     """Draw n samples using a piecewise-uniform proposal.
 
@@ -292,4 +275,4 @@ def grmc_sample(
             return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
-    return _run_chunked(n, d, stream, propose_and_test, effective_c, workers)
+    return _run_chunked(n, seed, propose_and_test, effective_c)

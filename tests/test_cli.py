@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import rejmc.cli as cli
 import rejmc.model as model
+import rejmc.samplers as samplers
 from rejmc import BudgetExhausted, ScalarField
 from conftest import GAUSS_DENSITY, GAUSS_MAX, SINE_CDF, SINE_DENSITY, subprocess_env
 
@@ -211,6 +213,33 @@ def test_metadata_suffices_to_reexecute(command, seed, tmp_path, monkeypatch):
     assert record["seed"] == int(record["config"]["seed"], 0) & (2**64 - 1)
 
 
+# run.json SHA-256 of commands the bench pins do not cover; polynomial
+# densities and integrands, so that no libm function is evaluated
+PINNED_RUNS = {
+    "validate_1d": (
+        "validate --density 2*x --vars x --box 0:1 --n 400 --seed 3 --cdf x*x",
+        "345d4d9ee6c5275cd13710f222c99319618a4a191b43e8336ad9359b99dd3e75",
+    ),
+    "validate_2d_default_bins_alpha": (
+        "validate --density x*y --vars x,y --box 0:1,0:2 --n 1000 --seed 3",
+        "7601fbb55a04f2270df08557f6d2ceabab698c892fe44c85dfee113608fdfa60",
+    ),
+    "integrate_direct": (
+        "integrate --integrand x*y --region y*y<=x --vars x,y --box 0:4,0:2 "
+        "--n 500 --reps 3 --method direct --seed 5",
+        "a8996afa3ed8fce4c262f23cb11099bfde3d9878fa9abd48ac4b629bb387a5a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_json_bytes_pinned(name, threads, tmp_path, monkeypatch):
+    argv, digest = PINNED_RUNS[name]
+    assert run(argv.split(), tmp_path, monkeypatch, env={"RMC_THREADS": threads}) == 0
+    assert hashlib.sha256((tmp_path / "run.json").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("seed", ["5", "0"])
 @pytest.mark.parametrize("command", sorted(RECORDED_RUNS))
 def test_seed_with_auto_seed_is_usage_error(command, seed, tmp_path, monkeypatch, capsys):
@@ -311,6 +340,17 @@ class TestExitCodes:
         # chunks 0 and 1 each give up at 2^24 proposals; none of the other 23 starts
         assert "after 33554432 proposals with 0/100000 accepted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_malformed_thread_count_is_usage_error(self, value, tmp_path, monkeypatch, capsys):
+        def chunk_run(*args):
+            raise AssertionError("RMC_THREADS must be checked before any chunk runs")
+
+        monkeypatch.setattr(samplers, "_run_chunk", chunk_run)
+        assert run(sample_args(), tmp_path, monkeypatch, env={"RMC_THREADS": value}) == 1
+        err = capsys.readouterr().err
+        assert f"rejmc: RMC_THREADS must be a positive integer, got '{value}'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_validation_failure_exits_4(self, tmp_path, monkeypatch):
         # samples from the sine density tested against a uniform CDF
         args = [
@@ -388,6 +428,37 @@ class TestValidate:
         assert "the chi-square test needs at least 2 cells; use more bins" in (
             capsys.readouterr().err
         )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [
+            (
+                ["--vars", "x", "--box", SINE_BOX, "--density", SINE_DENSITY, "--cdf", SINE_CDF],
+                ["--bins", "0"],
+                "--bins applies only to the chi-square test of 2-D or more",
+            ),
+            (
+                ["--vars", "x,y", "--box", "-2:2,-2:2", "--density", "exp(-(x^2+y^2))"],
+                ["--bins", "4", "--alpha", "0.05", "--cdf", "x"],
+                "--cdf applies only to the KS test of 1-D",
+            ),
+            (
+                ["--vars", "x,y", "--box", "-2:2,-2:2", "--density", "exp(-(x^2+y^2))"],
+                ["--bins", "4", "--alpha", "0.05"],
+                "--alpha applies only to the KS test of 1-D; "
+                "the chi-square threshold is the 0.999 quantile",
+            ),
+        ],
+        ids=["bins_in_1d", "cdf_in_2d", "alpha_in_2d"],
+    )
+    def test_flag_the_test_does_not_read_is_refused_before_sampling(
+        self, model, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        refuse_sampling(monkeypatch)
+        args = ["validate", *model, "--n", "2000", "--seed", "1", *flags]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert f"rejmc: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_4d_default_bins_refused_before_allocating(self, tmp_path, monkeypatch, capsys):

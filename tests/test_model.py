@@ -121,13 +121,6 @@ class TestValidateTarget:
         with pytest.raises(ModelValidationError, match="finite"):
             validate_target(field, Box([(0, 2)]), 1.0)
 
-    def test_truncation_estimate(self, gauss_field, gauss_box):
-        target = validate_target(gauss_field, gauss_box, GAUSS_C_LOOSE, estimate_truncation=True)
-        # mass outside [-5,5]^2 is ~1e-6; the plain-MC estimate is noisy
-        assert target.truncation_estimate == pytest.approx(0.0, abs=0.02)
-        plain = validate_target(gauss_field, gauss_box, GAUSS_C_LOOSE)
-        assert plain.truncation_estimate is None
-
     def test_validation_deterministic(self, gauss_field, gauss_box):
         a = validate_target(gauss_field, gauss_box)
         b = validate_target(gauss_field, gauss_box)

@@ -11,6 +11,7 @@ evaluate_batch returns no NaN, and merge_summaries is associative.
 """
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -387,16 +388,26 @@ def test_scatter_svg_body_matches_fstrings(lo, width, u):
     assert lines[-1 - len(points) : -1] == old_circles(points, box)
 
 
+def on_threads(run):
+    """run(n, seed) as sample(n, seed, workers=1), with RMC_THREADS=workers."""
+
+    def sample(n, seed, workers=1):
+        with mock.patch.dict(os.environ, {"RMC_THREADS": str(workers)}):
+            return run(n, seed)
+
+    return sample
+
+
 def sine_sampler():
     field = ScalarField.from_text("sin(x)/sqrt(2)", VarOrder(["x"]))
     target = validate_target(field, Box([(math.pi / 4, 3 * math.pi / 4)]), 1.1)
-    return lambda n, seed, workers=1: srmc_sample(target, n, seed, workers=workers)
+    return on_threads(lambda n, seed: srmc_sample(target, n, seed))
 
 
 def gauss_grmc_sampler():
     field = ScalarField.from_text("exp(-(x^2 + y^2 - 0.4*x*y)/1.92)", VarOrder(["x", "y"]))
     proposal = build_piecewise_proposal(field, Box([(-4, 4), (-4, 4)]), [3, 5])
-    return lambda n, seed, workers=1: grmc_sample(field, proposal, n, seed, workers=workers)
+    return on_threads(lambda n, seed: grmc_sample(field, proposal, n, seed))
 
 
 SAMPLERS = {"srmc": sine_sampler(), "grmc": gauss_grmc_sampler()}

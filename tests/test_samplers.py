@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import threading
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rejmc import samplers
+from rejmc import integrator, samplers
 from rejmc import (
     Box,
     BudgetExhausted,
@@ -151,21 +152,15 @@ class TestSrmc:
         assert np.all(batch.points[:, 0] < SINE_HI)
         assert np.all(sine_target.field(batch.points) > 0)
 
-    def test_seed_determinism_across_workers(self, sine_target):
-        a = srmc_sample(sine_target, 20_000, 123, workers=1)
-        b = srmc_sample(sine_target, 20_000, 123, workers=8)
-        c = srmc_sample(sine_target, 20_000, 123, workers=3)
+    def test_seed_determinism_across_workers(self, sine_target, monkeypatch):
+        runs = []
+        for threads in ("1", "8", "3"):
+            monkeypatch.setenv("RMC_THREADS", threads)
+            runs.append(srmc_sample(sine_target, 20_000, 123))
+        a, b, c = runs
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.points, c.points)
         assert a.meta.proposals_drawn == b.meta.proposals_drawn == c.meta.proposals_drawn
-
-    def test_consecutive_calls_on_one_stream_differ(self, sine_target):
-        stream = RandomStream(5)
-        a = srmc_sample(sine_target, 100, stream)
-        b = srmc_sample(sine_target, 100, stream)
-        assert a.meta.seed == 5
-        assert b.meta.seed != 5
-        assert not np.array_equal(a.points, b.points)
 
     def test_theorem_distribution_ks(self, sine_target):
         batch = srmc_sample(sine_target, 10_000, 2024)
@@ -177,11 +172,15 @@ class TestSrmc:
         with pytest.raises(ValueError):
             srmc_sample(sine_target, 0, 1)
 
-    def test_wall_time_recorded(self, sine_target):
-        batch = srmc_sample(sine_target, 100, 1)
-        assert batch.meta.wall_time_ms > 0.0
-        assert batch.meta.requested_n == 100
-        assert batch.meta.bound_c == 1.1
+    def test_metadata_equal_across_thread_counts(self, sine_target, monkeypatch):
+        # 10000 acceptances span three chunks
+        monkeypatch.setenv("RMC_THREADS", "1")
+        a = srmc_sample(sine_target, 10_000, 1)
+        monkeypatch.setenv("RMC_THREADS", "3")
+        b = srmc_sample(sine_target, 10_000, 1)
+        assert a.meta == b.meta
+        assert a.meta.bound_c == 1.1
+        assert a.meta.acceptance_rate == 10_000 / a.meta.proposals_drawn
 
 
 class FixedUniforms:
@@ -209,7 +208,7 @@ class TestGrmc:
     def test_single_cell_breaks_ties_as_srmc_does(self, monkeypatch):
         # f = 1 under h0 = 1.2: f/h0 == 0.8333333333333334 == u, but
         # h0 * u rounds to 1.0, so f > h0*u rejects the first proposal
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, d, stream, propose, *rest: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
         field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
         box = Box([(0, 1)])
         prop = build_piecewise_proposal(field, box, 1)
@@ -257,11 +256,24 @@ class TestGrmc:
         assert abs(batch.meta.acceptance_rate - rate) < 4 * sigma
         assert np.all(np.abs(batch.points) <= 5.0)
 
-    def test_workers_deterministic(self, gauss_field, gauss_box):
+    def test_workers_deterministic(self, gauss_field, gauss_box, monkeypatch):
         prop = build_piecewise_proposal(gauss_field, gauss_box, 8)
-        a = grmc_sample(gauss_field, prop, 10_000, 4, workers=1)
-        b = grmc_sample(gauss_field, prop, 10_000, 4, workers=6)
+        monkeypatch.setenv("RMC_THREADS", "1")
+        a = grmc_sample(gauss_field, prop, 10_000, 4)
+        monkeypatch.setenv("RMC_THREADS", "6")
+        b = grmc_sample(gauss_field, prop, 10_000, 4)
         assert np.array_equal(a.points, b.points)
+
+    def test_multi_cell_metadata_equal_across_thread_counts(
+        self, gauss_field, gauss_box, monkeypatch
+    ):
+        prop = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
+        monkeypatch.setenv("RMC_THREADS", "1")
+        a = grmc_sample(gauss_field, prop, 10_000, 4)
+        monkeypatch.setenv("RMC_THREADS", "3")
+        b = grmc_sample(gauss_field, prop, 10_000, 4)
+        assert a.meta == b.meta
+        assert a.meta.bound_c == prop.total_mass / gauss_box.volume
 
     def test_multi_cell_matches_sequential_oracle(self, sine_field, sine_box):
         # draw order per proposal: cell selector, then coordinates, then y
@@ -290,7 +302,7 @@ class TestWorkspace:
     @pytest.fixture
     def proposers(self, monkeypatch, sine_target, gauss_field, gauss_box):
         # each sampler hands _run_chunked its propose-and-test closure
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, d, stream, propose, *rest: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
         multi = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
         single = build_piecewise_proposal(gauss_field, gauss_box, 1)
         return {
@@ -316,13 +328,18 @@ class TestWorkspace:
         assert not np.shares_memory(elsewhere[0], second)
         assert np.array_equal(elsewhere[0], want)
 
-    def test_workers_do_not_change_output(self, sine_target, gauss_field, gauss_box):
+    def test_workers_do_not_change_output(self, sine_target, gauss_field, gauss_box, monkeypatch):
         multi = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
+
+        def on_threads(threads, sample):
+            monkeypatch.setenv("RMC_THREADS", threads)
+            return sample()
+
         for sample in (
-            lambda w: srmc_sample(sine_target, 10_000, 77, workers=w),
-            lambda w: grmc_sample(gauss_field, multi, 10_000, 77, workers=w),
+            lambda: srmc_sample(sine_target, 10_000, 77),
+            lambda: grmc_sample(gauss_field, multi, 10_000, 77),
         ):
-            one, two = sample(1), sample(2)
+            one, two = on_threads("1", sample), on_threads("2", sample)
             assert np.array_equal(one.points, two.points)
             assert one.meta.proposals_drawn == two.meta.proposals_drawn
 
@@ -350,39 +367,65 @@ class TestBudget:
         # a 1-D proposal draws two uniforms
         assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
-    def test_multi_chunk_threaded_failure_reports_payload(self, uniforms_drawn):
+    def test_multi_chunk_threaded_failure_reports_payload(self, uniforms_drawn, monkeypatch):
         field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
         uniforms_drawn[0] = 0
+        monkeypatch.setenv("RMC_THREADS", "2")
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 3 * 4096, 0, workers=2)
+            srmc_sample(target, 3 * 4096, 0)
         assert err.value.requested_n == 3 * 4096
         # the tallies of every chunk that ran, summed once all have ended
         assert err.value.proposals_drawn >= 1 << 24
         assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
-    def test_rate_below_floor_stops_despite_acceptances(self):
+    def test_rate_below_floor_stops_despite_acceptances(self, monkeypatch):
         # rate 1e-7: a full chunk would need about 4e10 proposals
         field = ScalarField.from_text("(x >= 0.9999999)", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
+        monkeypatch.setenv("RMC_THREADS", "1")
         with pytest.raises(BudgetExhausted) as err:
-            srmc_sample(target, 4096, 1, workers=1)
+            srmc_sample(target, 4096, 1)
         assert err.value.proposals_drawn == 1 << 24
         assert err.value.accepted >= 1
 
 
 class TestOrderedMap:
-    def test_results_in_index_order(self):
+    def test_results_in_index_order(self, monkeypatch):
         # later indices finish first
-        out = ordered_map(lambda i: time.sleep(0.002 * (8 - i)) or i * i, 8, workers=4)
+        monkeypatch.setenv("RMC_THREADS", "4")
+        out = ordered_map(lambda i: time.sleep(0.002 * (8 - i)) or i * i, 8)
         assert out == [i * i for i in range(8)]
 
-    def test_single_worker_runs_in_caller_thread(self):
+    def test_single_worker_runs_in_caller_thread(self, monkeypatch):
         caller = threading.get_ident()
-        assert ordered_map(lambda i: threading.get_ident(), 3, workers=1) == [caller] * 3
-        assert ordered_map(lambda i: threading.get_ident(), 1, workers=4) == [caller]
+        monkeypatch.setenv("RMC_THREADS", "1")
+        assert ordered_map(lambda i: threading.get_ident(), 3) == [caller] * 3
+        monkeypatch.setenv("RMC_THREADS", "4")
+        assert ordered_map(lambda i: threading.get_ident(), 1) == [caller]
 
-    def test_first_failure_in_index_order_is_raised(self):
+    def test_nested_call_runs_on_its_outer_call_thread(self, monkeypatch):
+        monkeypatch.setenv("RMC_THREADS", "4")
+
+        def outer(i):
+            time.sleep(0.01)  # so that several pool threads take calls
+            return threading.get_ident(), ordered_map(lambda j: threading.get_ident(), 3)
+
+        results = ordered_map(outer, 4)
+        assert threading.get_ident() not in {ident for ident, _ in results}
+        for ident, inner in results:
+            assert inner == [ident] * 3
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_malformed_thread_count_refused_before_any_call(self, value, monkeypatch):
+        monkeypatch.setenv("RMC_THREADS", value)
+        called = []
+        with pytest.raises(ValueError) as err:
+            ordered_map(called.append, 3)
+        assert str(err.value) == f"RMC_THREADS must be a positive integer, got '{value}'"
+        assert called == []
+
+    def test_first_failure_in_index_order_is_raised(self, monkeypatch):
         def fn(i):
             if i == 3:
                 time.sleep(0.2)
@@ -391,10 +434,11 @@ class TestOrderedMap:
                 raise ValueError("five")
             return i
 
+        monkeypatch.setenv("RMC_THREADS", "8")
         with pytest.raises(ValueError, match="three"):
-            ordered_map(fn, 8, workers=8)
+            ordered_map(fn, 8)
 
-    def test_failure_cancels_unstarted_calls(self):
+    def test_failure_cancels_unstarted_calls(self, monkeypatch):
         lock = threading.Lock()
         ran = []
 
@@ -406,11 +450,12 @@ class TestOrderedMap:
             time.sleep(0.01)
             return i
 
+        monkeypatch.setenv("RMC_THREADS", "2")
         with pytest.raises(RuntimeError, match="boom"):
-            ordered_map(fn, 50, workers=2)
+            ordered_map(fn, 50)
         assert len(ran) < 50
 
-    def test_no_call_starts_after_a_failure(self):
+    def test_no_call_starts_after_a_failure(self, monkeypatch):
         # fn(1) is still running when fn(0) fails; the worker freed by the
         # failure must not pick up fn(2), nor may fn(1)'s worker afterwards
         lock = threading.Lock()
@@ -428,12 +473,13 @@ class TestOrderedMap:
                 time.sleep(0.05)
             return i
 
+        monkeypatch.setenv("RMC_THREADS", "2")
         with pytest.raises(RuntimeError, match="boom"):
-            ordered_map(fn, 50, workers=2)
+            ordered_map(fn, 50)
         assert 0 in ran
         assert len(ran) <= 2
 
-    def test_calls_before_the_first_failure_all_run_under_stress(self):
+    def test_calls_before_the_first_failure_all_run_under_stress(self, monkeypatch):
         # later failures must never stop a call before the first one
         failing = {37, 41, 42, 120}
         lock = threading.Lock()
@@ -446,13 +492,38 @@ class TestOrderedMap:
                 raise ValueError(str(i))
             return i
 
+        monkeypatch.setenv("RMC_THREADS", "8")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(100):
                 ran.clear()
                 with pytest.raises(ValueError, match="^37$"):
-                    ordered_map(fn, 200, workers=8)
+                    ordered_map(fn, 200)
                 assert set(range(38)) <= ran
         finally:
             sys.setswitchinterval(interval)
+
+
+RUNS = [srmc_sample, grmc_sample, integrator.integrate_screened, integrator.integrate_direct]
+
+
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: run.__name__)
+def test_run_takes_an_integer_seed(run):
+    params = inspect.signature(run).parameters
+    assert "stream" not in params
+    assert list(params)[-1] == "seed"
+    assert params["seed"].annotation == "int"
+
+
+def test_no_function_takes_a_worker_count():
+    # RMC_THREADS is the only worker control
+    import rejmc.cli  # noqa: F401  (loads every module)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("rejmc.")]
+    functions = [
+        f for m in modules for f in vars(m).values()
+        if inspect.isfunction(f) and f.__module__ == m.__name__
+    ]
+    assert samplers.ordered_map in functions and samplers._run_chunked in functions
+    assert [f.__qualname__ for f in functions if "workers" in inspect.signature(f).parameters] == []
