@@ -33,11 +33,7 @@ print(f"predicted acceptance rate  {predicted_acceptance(1.0, 1.1, math.pi / 2):
 
 # 4. Check the draws against the analytic CDF F(x) = 1/2 - cos(x)/sqrt(2)
 #    with a Kolmogorov-Smirnov test.
-report = ks_test_1d(
-    np.sort(batch.points[:, 0]),
-    lambda xs: 0.5 - np.cos(xs) / np.sqrt(2),
-    alpha=0.01,
-)
+report = ks_test_1d(batch.points[:, 0], lambda xs: 0.5 - np.cos(xs) / np.sqrt(2), alpha=0.01)
 print(
     f"KS statistic {report.statistic:.5f} vs threshold {report.threshold:.5f} "
     f"-> {'PASS' if report.passed else 'FAIL'}"

@@ -32,7 +32,7 @@ from .model import (
     validate_target,
 )
 from .randomness import capture_seed
-from .samplers import BudgetExhausted, grmc_sample, srmc_sample
+from .samplers import BudgetExhausted, grmc_sample, resolve_workers, srmc_sample
 from .stats import GofReport, chi_square_bins, chi_square_box, ks_test_1d
 from .svgplot import scatter_svg
 
@@ -141,11 +141,8 @@ def _resolve_seed(args) -> tuple[int, str]:
 
 
 def _parse_model_args(args):
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if not names:
-        raise _UsageError("--vars must list at least one variable")
     try:
-        variables = VarOrder(names)
+        variables = VarOrder([v.strip() for v in args.vars.split(",")])
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     try:
@@ -300,7 +297,7 @@ def _cmd_validate(args) -> int:
     batch = _timed(srmc_sample, target, args.n, seed)
 
     if box.dims == 1:
-        report = ks_test_1d(np.sort(batch.points[:, 0]), cdf, args.alpha)
+        report = ks_test_1d(batch.points[:, 0], cdf, args.alpha)
     else:
         report = chi_square_box(batch, target, args.bins)
 
@@ -364,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # a malformed RMC_THREADS is refused before any work
+        resolve_workers()
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"rejmc: expression error: {exc}", file=sys.stderr)

@@ -166,9 +166,6 @@ class ScalarField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return expression.evaluate_batch(self.expr, points)
 
-    def text(self) -> str:
-        return expression.to_text(self.expr)
-
 
 @dataclass(frozen=True)
 class TargetSpec:

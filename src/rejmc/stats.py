@@ -1,10 +1,10 @@
 """Empirical summaries and goodness-of-fit checks for sample batches.
 
-summarize uses blockwise accumulation with a numerically stable merge, and
-merge_summaries exposes the same merge for parallel reduction. The KS test
-uses the fixed asymptotic thresholds 1.358/sqrt(n) (alpha 0.05) and
-1.628/sqrt(n) (alpha 0.01); the box chi-square test compares observed cell
-counts against midpoint-quadrature cell masses of the target density.
+summarize takes one mean and one centered cross product over the whole
+batch. The KS test sorts its draws and uses the fixed asymptotic thresholds
+1.358/sqrt(n) (alpha 0.05) and 1.628/sqrt(n) (alpha 0.01); the box
+chi-square test compares observed cell counts against midpoint-quadrature
+cell masses of the target density.
 Its threshold is the 0.999 quantile of chi-square with dof degrees of
 freedom, computed as 2 * gammaincinv(dof / 2, 0.999): the formula of
 scipy.stats.chi2.ppf, bit for bit, without importing scipy.stats, which
@@ -25,7 +25,6 @@ __all__ = [
     "SummaryStats",
     "GofReport",
     "summarize",
-    "merge_summaries",
     "ks_test_1d",
     "chi_square_box",
     "chi_square_bins",
@@ -38,7 +37,6 @@ _CHI2_CONFIDENCE = 0.999
 _QUADRATURE_PER_DIM = 32
 # cells expected to hold fewer samples are merged into a neighbor
 _MIN_EXPECTED = 5.0
-_BLOCK_ROWS = 65536
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,43 +55,20 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class GofReport:
-    """Outcome of one goodness-of-fit test; passed <=> statistic < threshold.
+    """Outcome of one goodness-of-fit test.
 
-    The field is named ``passed`` ("pass" is reserved in Python); it is
-    serialized as "pass" in run-metadata JSON.
+    ``passed`` ("pass" is reserved in Python) is statistic < threshold; it
+    is serialized as "pass" in run-metadata JSON.
     """
 
     kind: str  # "ks" or "chi_square"
     statistic: float
     threshold: float
     dof: int | None
-    passed: bool
 
-
-def _moments(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    n = points.shape[0]
-    mean = points.mean(axis=0)
-    centered = points - mean
-    return n, mean, centered.T @ centered
-
-
-def _merge_moments(a, b):
-    na, ma, sa = a
-    nb, mb, sb = b
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * (nb / n)
-    scatter = sa + sb + np.outer(delta, delta) * (na * nb / n)
-    return n, mean, scatter
-
-
-def _finish(n: int, mean: np.ndarray, scatter: np.ndarray) -> SummaryStats:
-    cov = scatter / (n - 1)
-    sd = np.sqrt(np.diag(cov))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = cov / np.outer(sd, sd)
-    corr[~np.isfinite(corr)] = np.nan
-    return SummaryStats(n=n, mean=mean, covariance=cov, correlation=corr)
+    @property
+    def passed(self) -> bool:
+        return self.statistic < self.threshold
 
 
 def _as_points(batch: SampleBatch | np.ndarray) -> np.ndarray:
@@ -104,25 +79,19 @@ def _as_points(batch: SampleBatch | np.ndarray) -> np.ndarray:
 
 
 def summarize(batch: SampleBatch | np.ndarray) -> SummaryStats:
-    """Single-pass summary of a batch (needs at least two rows)."""
+    """Summary of a batch (needs at least two rows)."""
     pts = _as_points(batch)
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         raise ValueError("summaries need at least 2 samples")
-    acc = None
-    for start in range(0, pts.shape[0], _BLOCK_ROWS):
-        block = _moments(pts[start : start + _BLOCK_ROWS])
-        acc = block if acc is None else _merge_moments(acc, block)
-    return _finish(*acc)
-
-
-def merge_summaries(a: SummaryStats, b: SummaryStats) -> SummaryStats:
-    """Associative merge; equals summarizing the concatenated batches."""
-    return _finish(
-        *_merge_moments(
-            (a.n, a.mean, a.covariance * (a.n - 1)),
-            (b.n, b.mean, b.covariance * (b.n - 1)),
-        )
-    )
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    cov = (centered.T @ centered) / (n - 1)
+    sd = np.sqrt(np.diag(cov))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = cov / np.outer(sd, sd)
+    corr[~np.isfinite(corr)] = np.nan
+    return SummaryStats(n=n, mean=mean, covariance=cov, correlation=corr)
 
 
 def ks_test_1d(
@@ -133,21 +102,19 @@ def ks_test_1d(
     """One-sample Kolmogorov-Smirnov test against a reference CDF.
 
     D_n = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
-    sample; the input must already be sorted.
+    sample; the draws may come in any order.
     """
     if alpha not in KS_THRESHOLDS:
         raise ValueError(f"alpha must be one of {sorted(KS_THRESHOLDS)}, got {alpha}")
-    xs = np.asarray(samples, dtype=np.float64).ravel()
+    xs = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
     n = xs.size
     if n < 1:
         raise ValueError("KS test needs at least one sample")
-    if np.any(np.diff(xs) < 0):
-        raise ValueError("samples must be sorted nondecreasing")
     f = np.asarray(cdf(xs), dtype=np.float64)
     i = np.arange(1, n + 1)
     d = float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
     threshold = KS_THRESHOLDS[alpha] / math.sqrt(n)
-    return GofReport(kind="ks", statistic=d, threshold=threshold, dof=None, passed=d < threshold)
+    return GofReport(kind="ks", statistic=d, threshold=threshold, dof=None)
 
 
 def _cell_neighbors(idx: int, bins: tuple[int, ...]) -> list[int]:
@@ -249,13 +216,7 @@ def chi_square_box(
     statistic = float(np.sum((grouped_obs - grouped_exp) ** 2 / grouped_exp))
     dof = grouped_obs.size - 1
     threshold = float(2 * gammaincinv(dof / 2, _CHI2_CONFIDENCE))
-    return GofReport(
-        kind="chi_square",
-        statistic=statistic,
-        threshold=threshold,
-        dof=dof,
-        passed=statistic < threshold,
-    )
+    return GofReport(kind="chi_square", statistic=statistic, threshold=threshold, dof=dof)
 
 
 def predicted_acceptance(f_box_integral: float, c: float, vol: float) -> float:

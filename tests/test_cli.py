@@ -16,6 +16,8 @@ from rejmc import BudgetExhausted, ScalarField
 from conftest import GAUSS_DENSITY, GAUSS_MAX, SINE_CDF, SINE_DENSITY, subprocess_env
 
 SINE_BOX = "0.7853981633974483:2.356194490192345"
+BOUND_ARGS = ["bound", "--density", "x*y", "--vars", "x,y", "--box", "0:1,0:1"]
+THREAD_COUNTS = ["abc", "2.5", "0", "-3"]
 
 
 def run(args, tmp_path, monkeypatch, env=None):
@@ -303,6 +305,21 @@ class TestExitCodes:
         assert "box volume underflows to zero" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("names", ["x,,y", "x,", ""], ids=["inner", "trailing", "only"])
+    def test_empty_variable_name_is_usage_error(self, names, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(model, "grid_reduce", never)
+        refuse_sampling(monkeypatch)
+        args = [
+            "sample", "--density", "x+y", "--vars", names, "--box", "0:1,0:1",
+            "--n", "5", "--seed", "1",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: invalid identifier: ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_density_parse_error_exits_2(self, tmp_path, monkeypatch):
         code = run(
             ["sample", "--density", "sin(q)", "--vars", "x", "--box", "0:1", "--n", "10"],
@@ -340,13 +357,21 @@ class TestExitCodes:
         # chunks 0 and 1 each give up at 2^24 proposals; none of the other 23 starts
         assert "after 33554432 proposals with 0/100000 accepted" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-    def test_malformed_thread_count_is_usage_error(self, value, tmp_path, monkeypatch, capsys):
-        def chunk_run(*args):
-            raise AssertionError("RMC_THREADS must be checked before any chunk runs")
+    @pytest.mark.parametrize(
+        "command, value",
+        [("sample", v) for v in THREAD_COUNTS] + [("bound", v) for v in THREAD_COUNTS],
+        ids=THREAD_COUNTS + [f"bound-{v}" for v in THREAD_COUNTS],
+    )
+    def test_malformed_thread_count_is_usage_error(
+        self, command, value, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("RMC_THREADS must be checked before any work")
 
-        monkeypatch.setattr(samplers, "_run_chunk", chunk_run)
-        assert run(sample_args(), tmp_path, monkeypatch, env={"RMC_THREADS": value}) == 1
+        monkeypatch.setattr(samplers, "_run_chunk", never)
+        monkeypatch.setattr(model, "grid_reduce", never)
+        args = {"sample": sample_args(), "bound": BOUND_ARGS}[command]
+        assert run(args, tmp_path, monkeypatch, env={"RMC_THREADS": value}) == 1
         err = capsys.readouterr().err
         assert f"rejmc: RMC_THREADS must be a positive integer, got '{value}'" in err
         assert list(tmp_path.iterdir()) == []

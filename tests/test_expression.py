@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from rejmc import EvalError, ParseError, VarOrder, evaluate_batch, free_vars, parse, to_text
+from rejmc import EvalError, ParseError, VarOrder, parse
 from rejmc.expression import And, BinOp, Call, Const, Neg, Num, Rel, Var
+from rejmc.expression import evaluate_batch, free_vars, to_text
 
 
 def evaluate(node, point=()):

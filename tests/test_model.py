@@ -9,16 +9,15 @@ from rejmc import (
     Box,
     EnvelopeViolation,
     ModelValidationError,
-    RandomStream,
     ScalarField,
     TargetSpec,
     VarOrder,
-    box_from_text,
     build_piecewise_proposal,
-    uniform_box_block,
     validate_target,
 )
 from rejmc import model
+from rejmc.model import box_from_text
+from rejmc.randomness import RandomStream, uniform_box_block
 from conftest import GAUSS_MAX, GAUSS_C_LOOSE
 
 

@@ -6,8 +6,8 @@ broadcast, grid evaluation against the meshgrid matrix, the table-driven
 evaluator against a frozen copy of the per-operator one, the piecewise
 generator against the one-shot splitmix64 formula, the CSV and SVG writers
 against per-value formatting, and the samplers against their own output
-under another batch schedule. Two more state invariants outright:
-evaluate_batch returns no NaN, and merge_summaries is associative.
+under another batch schedule. One more states an invariant outright:
+evaluate_batch returns no NaN.
 """
 import itertools
 import math
@@ -21,9 +21,9 @@ from hypothesis.extra.numpy import arrays
 import rejmc.cli as cli
 import rejmc.expression as expression
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
-from rejmc import evaluate_batch, merge_summaries, parse, samplers, srmc_sample, summarize
-from rejmc import svgplot, to_text, validate_target
+from rejmc import parse, samplers, srmc_sample, svgplot, validate_target
 from rejmc.expression import And, BinOp, Call, Const, Grid, Neg, Num, Rel, Var
+from rejmc.expression import evaluate_batch, to_text
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, scale_to_box
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -447,28 +447,3 @@ def test_samples_do_not_depend_on_worker_count(kind, n, seed, workers):
     got = sample(n, seed, workers)
     assert np.array_equal(bits(got.points), bits(want.points))
     assert got.meta.proposals_drawn == want.meta.proposals_drawn
-
-
-@st.composite
-def three_way_splits(draw):
-    """A point cloud of 6..60 rows and two cuts leaving at least 2 rows in
-    each of its three parts (a summary needs 2)."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(6, 60))
-    pts = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
-    first = draw(st.integers(2, n - 4))
-    second = draw(st.integers(first + 2, n - 2))
-    return pts[:first], pts[first:second], pts[second:]
-
-
-@settings(max_examples=200, deadline=None)
-@given(three_way_splits())
-def test_merge_summaries_is_associative(parts):
-    a, b, c = (summarize(p) for p in parts)
-    left = merge_summaries(merge_summaries(a, b), c)
-    right = merge_summaries(a, merge_summaries(b, c))
-    assert left.n == right.n == sum(len(p) for p in parts)
-    # entries that cancel to near zero are compared against the cloud's scale
-    scale = max(1.0, float(np.max(np.abs(np.concatenate(parts)))))
-    np.testing.assert_allclose(left.mean, right.mean, rtol=1e-9, atol=1e-9 * scale)
-    np.testing.assert_allclose(left.covariance, right.covariance, rtol=1e-9, atol=1e-9 * scale**2)

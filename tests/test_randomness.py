@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rejmc import Box, RandomStream, substream, uniform_box_block
-from rejmc.randomness import GOLDEN_GAMMA, MASK64, mix64
+from rejmc import Box
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, mix64, substream, uniform_box_block
 
 
 def reference_mix(z):

@@ -11,7 +11,6 @@ from rejmc import integrator, samplers
 from rejmc import (
     Box,
     BudgetExhausted,
-    RandomStream,
     ScalarField,
     VarOrder,
     build_piecewise_proposal,
@@ -20,9 +19,9 @@ from rejmc import (
     ks_test_1d,
     predicted_acceptance,
     srmc_sample,
-    substream,
     validate_target,
 )
+from rejmc.randomness import RandomStream, substream
 from rejmc.samplers import ordered_map
 from conftest import GAUSS_C_LOOSE, SINE_HI, SINE_LO
 

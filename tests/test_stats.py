@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 
 from rejmc import (
+    GofReport,
     chi_square_box,
     ks_test_1d,
-    RandomStream,
-    merge_summaries,
     predicted_acceptance,
     srmc_sample,
     summarize,
@@ -17,6 +17,7 @@ from rejmc import (
     VarOrder,
     Box,
 )
+from rejmc.randomness import RandomStream
 from rejmc.stats import _merge_small_cells
 from conftest import GAUSS_C_LOOSE
 
@@ -63,25 +64,15 @@ class TestSummarize:
                 getattr(shuffled, name), getattr(base, name), rtol=1e-12, atol=1e-12
             )
 
-    def test_merge_equals_single_pass(self):
+    def test_large_batch_matches_numpy(self):
         rng = np.random.default_rng(11)
-        pts = rng.normal(size=(10_000, 2)) * 3.0 + 1.0
-        whole = summarize(pts)
-        merged = merge_summaries(summarize(pts[:3000]), summarize(pts[3000:]))
-        assert merged.n == whole.n
-        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-10)
-        np.testing.assert_allclose(merged.covariance, whole.covariance, rtol=1e-10)
-        np.testing.assert_allclose(merged.correlation, whole.correlation, rtol=1e-10)
-
-    def test_merge_associative_reduction(self):
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(size=(8192, 2))
-        chunks = [summarize(pts[i : i + 1024]) for i in range(0, 8192, 1024)]
-        left = chunks[0]
-        for chunk in chunks[1:]:
-            left = merge_summaries(left, chunk)
-        whole = summarize(pts)
-        np.testing.assert_allclose(left.covariance, whole.covariance, rtol=1e-10)
+        mixing = np.array([[2.0, 0.0, 0.0], [0.6, 1.0, 0.0], [-0.3, 0.4, 0.5]])
+        pts = rng.normal(size=(200_000, 3)) @ mixing.T + np.array([1.0, -2.0, 0.5])
+        stats = summarize(pts)
+        assert stats.n == 200_000
+        np.testing.assert_allclose(stats.mean, pts.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(stats.covariance, np.cov(pts, rowvar=False), rtol=1e-12)
+        np.testing.assert_allclose(stats.correlation, np.corrcoef(pts, rowvar=False), rtol=1e-12)
 
 
 class TestKsTest:
@@ -112,9 +103,17 @@ class TestKsTest:
         assert report.statistic > 0.2
         assert not report.passed
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            ks_test_1d(np.array([0.5, 0.2, 0.9]), lambda x: x)
+    def test_unsorted_draws_give_the_sorted_report(self, sine_field, sine_box):
+        target = validate_target(sine_field, sine_box, 1.1)
+        draws = srmc_sample(target, 5000, 606).points[:, 0]
+        shuffled = np.random.default_rng(5).permutation(draws)
+        cdf = lambda xs: 0.5 - np.cos(xs) / np.sqrt(2)
+        assert ks_test_1d(shuffled, cdf, alpha=0.05) == ks_test_1d(np.sort(draws), cdf, alpha=0.05)
+
+    def test_passed_is_derived_not_stored(self):
+        assert "passed" not in {f.name for f in dataclasses.fields(GofReport)}
+        assert GofReport("ks", 0.1, 0.2, None).passed
+        assert not GofReport("ks", 0.2, 0.2, None).passed
 
     def test_alpha_restricted(self):
         with pytest.raises(ValueError, match="alpha"):
