@@ -86,8 +86,8 @@ def integrate_screened(
 
     def one_rep(r: int) -> tuple[float, int, int, int]:
         rs = substream(run_seed, r)
-        uniform = uniform_box_block(rs, box, n)
-        a = vol * float(np.mean(g(uniform)))
+        # the n x d uniform batch is freed before the sampler runs
+        a = vol * float(np.mean(g(uniform_box_block(rs, box, n))))
         batch = srmc_sample(target, n, rs.state)
         in_region = int(np.count_nonzero(indicator(batch.points) == 1.0))
         return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted

@@ -10,7 +10,7 @@ Requested sample counts are split into chunks of 4096 acceptances, each run
 on substream(seed, chunk_index) and merged in chunk order, so results are a
 pure function of (inputs, seed) no matter how many worker threads run. The
 run seed is an integer; the RMC_THREADS environment variable (default: the
-CPU count) is the only worker control.
+CPUs this process may run on) is the only worker control.
 
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
@@ -76,10 +76,13 @@ _in_pool = threading.local()
 
 
 def resolve_workers() -> int:
-    """The worker count: RMC_THREADS if set, else the CPU count. Raises
-    ValueError when RMC_THREADS is not a positive integer."""
+    """The worker count: RMC_THREADS if set, else the number of CPUs this
+    process may run on. Raises ValueError when RMC_THREADS is not a
+    positive integer."""
     env = os.environ.get("RMC_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(env)

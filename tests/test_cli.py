@@ -642,16 +642,38 @@ class TestBound:
         assert f"grid of {16385**2} points exceeds the limit of {1 << 28} points" in err
 
 
-def test_import_loads_no_scipy_stats():
-    # scipy.stats costs most of the start-up time of every command; the
-    # suite itself imports it, so the check runs in a fresh interpreter
-    code = "import sys, rejmc, rejmc.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def run_fresh(code, cwd):
+    # the suite itself imports scipy, so these checks run in a fresh interpreter
+    return subprocess.run(
         [sys.executable, "-c", code],
+        cwd=cwd,
         env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # importing scipy.special costs most of the start-up time of every command
+    out = run_fresh(f"import sys, rejmc, rejmc.cli; print({SCIPY_LOADED})", tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_chi_square_validate_of_at_most_512_cells_loads_no_scipy(tmp_path):
+    argv = [
+        "validate", "--density", GAUSS_DENSITY, "--vars", "x,y", "--box", "-5:5,-5:5",
+        "--bins", "8", "--n", "2000", "--seed", "1",
+    ]
+    code = (
+        f"import sys, rejmc.cli; status = rejmc.cli.main({argv!r}); "
+        f"print(status, {SCIPY_LOADED})"
+    )
+    out = run_fresh(code, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "run.json").read_text())["gof"]["kind"] == "chi_square"

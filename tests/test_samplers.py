@@ -415,6 +415,15 @@ class TestOrderedMap:
         for ident, inner in results:
             assert inner == [ident] * 3
 
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("RMC_THREADS", raising=False)
+        monkeypatch.setattr(samplers.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(samplers.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert samplers.resolve_workers() == 2
+        # where the platform has no affinity call, every CPU counts
+        monkeypatch.delattr(samplers.os, "sched_getaffinity")
+        assert samplers.resolve_workers() == 64
+
     @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
     def test_malformed_thread_count_refused_before_any_call(self, value, monkeypatch):
         monkeypatch.setenv("RMC_THREADS", value)

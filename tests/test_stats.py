@@ -18,7 +18,7 @@ from rejmc import (
     Box,
 )
 from rejmc.randomness import RandomStream
-from rejmc.stats import _merge_small_cells
+from rejmc.stats import _CHI2_999, _chi2_threshold, _merge_small_cells
 from conftest import GAUSS_C_LOOSE
 
 
@@ -190,6 +190,22 @@ class TestChiSquareBox:
         assert np.array_equal(2 * gammaincinv(dofs / 2, 0.999), chi2.ppf(0.999, dofs))
         for dof in (1, 7, 255, 20_000, 65_535, 123_457, 999_999, 1_000_000):
             assert float(2 * gammaincinv(dof / 2, 0.999)) == float(chi2.ppf(0.999, dof))
+
+    def test_threshold_table_holds_scipys_doubles(self):
+        from scipy.special import gammaincinv
+
+        assert len(_CHI2_999) == 511
+        expected = 2 * gammaincinv(np.arange(1, 512) / 2, 0.999)
+        assert np.array_equal(np.array(_CHI2_999).view(np.uint64), expected.view(np.uint64))
+
+    # both sides of the table's edge, and the largest 2-D partition (2^18 cells)
+    @pytest.mark.parametrize("dof", [1, 511, 512, 4096, 262_143])
+    def test_threshold_equals_scipy_on_both_sides_of_the_table(self, dof):
+        from scipy.special import gammaincinv
+
+        threshold = _chi2_threshold(dof)
+        assert type(threshold) is float
+        assert threshold == float(2 * gammaincinv(dof / 2, 0.999))
 
 
 class TestMergeRule:
