@@ -4,8 +4,8 @@ and envelope estimation runs.
 Commands write a samples CSV and/or a run-metadata JSON file. Outputs are
 byte-identical for identical flags and seed, whatever RMC_THREADS says; wall
 time is reported on stderr only, never in the files. Exit codes: 0 success
-or pass, 1 usage error, 2 expression parse error, 3 sampling budget
-exhaustion, 4 validation failure.
+or pass, 1 usage error or a density that faults, 2 expression parse error,
+3 sampling budget exhaustion, 4 validation failure.
 """
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ import time
 import numpy as np
 
 from . import expression
-from .expression import ParseError, VarOrder
+from .expression import EvalError, ParseError, VarOrder
 from .floattext import csv_rows
 from .integrator import integrate_direct, integrate_screened
 from .model import (
-    ModelValidationError,
     RunMetadata,
     ScalarField,
     box_from_text,
@@ -33,7 +32,7 @@ from .model import (
 )
 from .randomness import capture_seed
 from .samplers import BudgetExhausted, grmc_sample, resolve_workers, srmc_sample
-from .stats import GofReport, chi_square_bins, chi_square_box, ks_test_1d
+from .stats import GofReport, chi_square_box, ks_test_1d
 from .svgplot import scatter_svg
 
 SCHEMA_VERSION = 1
@@ -215,12 +214,14 @@ def _cmd_sample(args) -> int:
     variables, box = _parse_model_args(args)
     if args.plot is not None and box.dims != 2:
         raise _UsageError("--plot needs a 2-D model")
+    if args.bins is not None and args.bound_c is not None:
+        raise _UsageError("--bound-c applies only without --bins; --bins builds its own envelope")
     seed, seed_text = _resolve_seed(args)
     field = ScalarField.from_text(args.density, variables)
 
     if args.bins is not None:
         bins = [int(b) for b in str(args.bins).split(",")]
-        validate_target(field, box, args.bound_c)
+        validate_target(field, box)
         proposal = build_piecewise_proposal(field, box, bins if len(bins) > 1 else bins[0])
         batch = _timed(grmc_sample, field, proposal, args.n, seed)
     else:
@@ -290,16 +291,13 @@ def _cmd_validate(args) -> int:
                 "--alpha applies only to the KS test of 1-D; "
                 "the chi-square threshold is the 0.999 quantile"
             )
-        chi_square_bins(box.dims, args.bins)
     seed, seed_text = _resolve_seed(args)
     field = ScalarField.from_text(args.density, variables)
     target = validate_target(field, box, args.bound_c)
+    # the chi-square test is planned, and refused if it cannot run, before sampling
+    plan = chi_square_box(target, args.bins, args.n) if box.dims > 1 else None
     batch = _timed(srmc_sample, target, args.n, seed)
-
-    if box.dims == 1:
-        report = ks_test_1d(batch.points[:, 0], cdf, args.alpha)
-    else:
-        report = chi_square_box(batch, target, args.bins)
+    report = plan.test(batch) if plan else ks_test_1d(batch.points[:, 0], cdf, args.alpha)
 
     _write_record(args, seed, seed_text, **_sampling_results(batch.meta), gof=_gof_payload(report))
     verdict = "PASS" if report.passed else "FAIL"
@@ -370,10 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         print(f"rejmc: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _UsageError as exc:
-        print(f"rejmc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ModelValidationError, ValueError) as exc:
+    # ModelValidationError is a ValueError; EvalError is a density that faults
+    except (_UsageError, ValueError, EvalError) as exc:
         print(f"rejmc: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

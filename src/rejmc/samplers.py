@@ -2,7 +2,7 @@
 
 srmc_sample draws proposals uniformly on the support box against a constant
 envelope c (accept when f(x) > c*u, u ~ U[0,1)); grmc_sample draws from a
-piecewise-uniform proposal and accepts when f(x)/h_cell >= u. A one-cell
+piecewise-uniform proposal and accepts when f(x) > h_cell*u. A one-cell
 proposal is the constant envelope c = h_cell, so grmc_sample runs srmc's
 propose-and-test for it and reproduces srmc_sample draw for draw.
 
@@ -253,11 +253,11 @@ def grmc_sample(
 
     Per proposal: a cell is selected proportionally to its mass (inverse CDF
     over the cumulative mass table), x is uniform within the cell, and x is
-    accepted iff f(x)/h_cell >= u. A one-cell partition is the constant
+    accepted iff f(x) > h_cell*u. A one-cell partition is the constant
     envelope c = h_cell: it consumes no cell draw and runs srmc_sample's
-    propose-and-test (accept iff f(x) > c*u), so it reproduces srmc_sample
-    at bound_c = h_cell draw for draw. The metadata's bound_c records the
-    effective constant total_mass/volume.
+    propose-and-test, so it reproduces srmc_sample at bound_c = h_cell draw
+    for draw. The metadata's bound_c records the effective constant
+    total_mass/volume.
     """
     box = proposal.box
     d = box.dims
@@ -275,7 +275,7 @@ def grmc_sample(
             cells = positive[np.searchsorted(cum, u[:, 0], side="right")]
             lows = proposal.cell_lower(cells, out=ws.columns("lows", batch, d))
             pts = scale_to_box(u[:, 1:], lows, cell_widths, out=ws.columns("pts", batch, d))
-            return pts, field(pts) / heights_flat[cells] >= u[:, d + 1]
+            return pts, field(pts) > heights_flat[cells] * u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
     return _run_chunked(n, seed, propose_and_test, effective_c)

@@ -2,9 +2,9 @@
 
 summarize takes one mean and one centered cross product over the whole
 batch. The KS test sorts its draws and uses the fixed asymptotic thresholds
-1.358/sqrt(n) (alpha 0.05) and 1.628/sqrt(n) (alpha 0.01); the box
-chi-square test compares observed cell counts against midpoint-quadrature
-cell masses of the target density.
+1.358/sqrt(n) (alpha 0.05) and 1.628/sqrt(n) (alpha 0.01). The box
+chi-square test is planned from the target, the bins and n before any
+sampling (chi_square_box), then counts the draws (ChiSquareTest.test).
 Its threshold is the 0.999 quantile of chi-square with dof degrees of
 freedom, 2 * gammaincinv(dof / 2, 0.999): the formula of scipy.stats.chi2.ppf,
 bit for bit. For dof <= 511 (a partition of at most 512 cells) it is read
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SampleBatch, TargetSpec, bin_counts, check_grid_size, grid_reduce
+from .model import SampleBatch, TargetSpec, bin_counts, grid_reduce
 
 __all__ = [
     "SummaryStats",
@@ -28,7 +28,7 @@ __all__ = [
     "summarize",
     "ks_test_1d",
     "chi_square_box",
-    "chi_square_bins",
+    "ChiSquareTest",
     "predicted_acceptance",
     "KS_THRESHOLDS",
 ]
@@ -119,24 +119,23 @@ def ks_test_1d(
 
 
 def _cell_neighbors(idx: int, bins: tuple[int, ...]) -> list[int]:
-    multi = list(np.unravel_index(idx, bins))
+    """The C-order indices of the cells that share a face with cell idx."""
+    stride = math.prod(bins)
     out = []
-    for axis, b in enumerate(bins):
-        for step in (-1, 1):
-            coord = multi[axis] + step
-            if 0 <= coord < b:
-                shifted = multi.copy()
-                shifted[axis] = coord
-                out.append(int(np.ravel_multi_index(shifted, bins)))
+    for coord, b in zip(np.unravel_index(idx, bins), bins):
+        stride //= b
+        out += [idx + step * stride for step in (-1, 1) if 0 <= coord + step < b]
     return out
 
 
 def _merge_small_cells(
-    observed: np.ndarray, expected: np.ndarray, bins: tuple[int, ...]
+    expected: np.ndarray, bins: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Union-find merge of cells with expected count below _MIN_EXPECTED
-    into their largest neighboring group, scanning in row-major order."""
-    ncells = observed.size
+    into their largest neighboring group, scanning in row-major order.
+    Returns each cell's group (numbered in root-cell order) and each
+    group's expected count."""
+    ncells = expected.size
     parent = np.arange(ncells)
 
     def find(i: int) -> int:
@@ -146,8 +145,9 @@ def _merge_small_cells(
         return int(i)
 
     group_exp = expected.astype(np.float64).copy()
-    group_obs = observed.astype(np.float64).copy()
-    for _ in range(ncells):
+    # each pass that changes something joins two groups, so the loop ends
+    changed = True
+    while changed:
         changed = False
         for idx in range(ncells):
             g = find(idx)
@@ -159,45 +159,50 @@ def _merge_small_cells(
             best = max(candidates, key=lambda c: (group_exp[c], -c))
             parent[g] = best
             group_exp[best] += group_exp[g]
-            group_obs[best] += group_obs[g]
             changed = True
-        if not changed:
-            break
-    roots = sorted({find(i) for i in range(ncells)})
-    return group_obs[roots], group_exp[roots]
+    roots, labels = np.unique([find(i) for i in range(ncells)], return_inverse=True)
+    return labels, group_exp[roots]
 
 
-def chi_square_bins(dims: int, bins_per_dim: int | Sequence[int]) -> tuple[int, ...]:
-    """Bins per dimension for chi_square_box on a dims-D box.
+@dataclass(frozen=True, eq=False)
+class ChiSquareTest:
+    """A box chi-square test planned for n draws: bin edges per dimension,
+    each cell's group (C order), each group's expected count, and the
+    threshold at len(expected) - 1 degrees of freedom."""
 
-    Raises ValueError, as chi_square_box would, for bad bin counts, a
-    partition of fewer than 2 cells or a quadrature grid too large for
-    grid_reduce, so a caller can check its arguments before it samples.
-    """
-    bins = bin_counts(bins_per_dim, dims)
-    if math.prod(bins) < 2:
-        raise ValueError("the chi-square test needs at least 2 cells; use more bins")
-    check_grid_size([b * _QUADRATURE_PER_DIM for b in bins])
-    return bins
+    edges: list[np.ndarray]
+    groups: np.ndarray
+    expected: np.ndarray
+    threshold: float
+    n: int
+
+    def test(self, batch: SampleBatch | np.ndarray) -> GofReport:
+        """Count the n draws into the planned groups and compare."""
+        pts = _as_points(batch)
+        if pts.shape[0] != self.n:
+            raise ValueError(f"the test was planned for {self.n} draws, got {pts.shape[0]}")
+        counts, _ = np.histogramdd(pts, bins=self.edges)
+        observed = np.bincount(self.groups, weights=counts.ravel(), minlength=self.expected.size)
+        statistic = float(np.sum((observed - self.expected) ** 2 / self.expected))
+        return GofReport("chi_square", statistic, self.threshold, self.expected.size - 1)
 
 
-def chi_square_box(
-    batch: SampleBatch | np.ndarray,
-    target: TargetSpec,
-    bins_per_dim: int | Sequence[int],
-) -> GofReport:
-    """Chi-square test of a batch against its target on the support box.
+def chi_square_box(target: TargetSpec, bins_per_dim: int | Sequence[int], n: int) -> ChiSquareTest:
+    """Plan the chi-square test of n draws from target on its support box.
 
     Expected cell probabilities come from midpoint quadrature (32^d points
     per cell), normalized over the box; cells with expected count below 5
-    are merged into their largest neighbor.
+    are merged into their largest neighbor. The groups depend on nothing
+    sampled, so every refusal comes before sampling: ValueError for n < 1,
+    bad bins, fewer than 2 cells, a grid over 2^28 points, a density that
+    vanishes on the grid, or fewer than 2 groups after merging.
     """
-    pts = _as_points(batch)
+    if n < 1:
+        raise ValueError("requested sample count must be at least 1")
     box = target.support
-    bins = chi_square_bins(box.dims, bins_per_dim)
-
-    edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box.bounds, bins)]
-    observed, _ = np.histogramdd(pts, bins=edges)
+    bins = bin_counts(bins_per_dim, box.dims)
+    if math.prod(bins) < 2:
+        raise ValueError("the chi-square test needs at least 2 cells; use more bins")
 
     q = _QUADRATURE_PER_DIM
     axes = []
@@ -208,16 +213,12 @@ def chi_square_box(
     total = float(cell_mass.sum())
     if not total > 0.0:
         raise ValueError("target density vanishes on the quadrature grid")
-    probs = cell_mass / total
 
-    n = pts.shape[0]
-    grouped_obs, grouped_exp = _merge_small_cells(observed.ravel(), probs.ravel() * n, bins)
-    if grouped_obs.size < 2:
+    groups, expected = _merge_small_cells((cell_mass / total).ravel() * n, bins)
+    if expected.size < 2:
         raise ValueError("fewer than two cells remain after merging; use fewer bins")
-    statistic = float(np.sum((grouped_obs - grouped_exp) ** 2 / grouped_exp))
-    dof = grouped_obs.size - 1
-    threshold = _chi2_threshold(dof)
-    return GofReport(kind="chi_square", statistic=statistic, threshold=threshold, dof=dof)
+    edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box.bounds, bins)]
+    return ChiSquareTest(edges, groups, expected, _chi2_threshold(expected.size - 1), n)
 
 
 def _chi2_threshold(dof: int) -> float:

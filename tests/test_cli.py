@@ -161,14 +161,31 @@ class TestSample:
         def never(*args, **kwargs):
             raise AssertionError("grid evaluated")
 
+        # the envelope estimate that validate_target makes needs no grid here
+        monkeypatch.setattr(model, "estimate_bound_argmax", lambda *a, **k: (1.2, None))
         monkeypatch.setattr(model, "grid_reduce", never)
         refuse_sampling(monkeypatch)
         args = [
-            "sample", "--density", "1", "--vars", "x", "--box", "0:1", "--bound-c", "1.2",
+            "sample", "--density", "1", "--vars", "x", "--box", "0:1",
             "--n", "10", "--seed", "1", "--bins", "4194305",
         ]
         assert run(args, tmp_path, monkeypatch) == 1
         assert "partition has 4194305 cells; limit is 4194304" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bound_c_with_bins_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # the histogram proposal builds its own envelope and reads no --bound-c
+        def never(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(model, "grid_reduce", never)
+        refuse_sampling(monkeypatch)
+        args = [
+            "sample", "--density", "exp(-(x^2))", "--vars", "x", "--box", "-3:3",
+            "--n", "10", "--bins", "4", "--bound-c", "0.5",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: --bound-c applies only without --bins" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_plot_requires_2d(self, tmp_path, monkeypatch):
@@ -376,6 +393,24 @@ class TestExitCodes:
         assert f"rejmc: RMC_THREADS must be a positive integer, got '{value}'" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bound", "--density", "1/x", "--vars", "x", "--box", "-1:1"], "'1.0 / x'"),
+            (
+                ["sample", "--density", "1/x^2", "--vars", "x", "--box", "-1:1", "--n", "10"],
+                "'1.0 / x^2.0'",
+            ),
+        ],
+        ids=["bound", "sample"],
+    )
+    def test_density_that_faults_is_usage_error(
+        self, args, message, tmp_path, monkeypatch, capsys
+    ):
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert f"rejmc: division by zero in {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_validation_failure_exits_4(self, tmp_path, monkeypatch):
         # samples from the sine density tested against a uniform CDF
         args = [
@@ -453,6 +488,30 @@ class TestValidate:
         assert "the chi-square test needs at least 2 cells; use more bins" in (
             capsys.readouterr().err
         )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_merge_to_one_group_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # 2000 draws over 128^2 cells: every cell expects fewer than 5, and
+        # the merge leaves one group
+        refuse_sampling(monkeypatch)
+        args = [
+            "validate", "--density", "exp(-(x^2+y^2))", "--vars", "x,y", "--box", "-3:3,-3:3",
+            "--n", "2000", "--seed", "1", "--bins", "128",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: fewer than two cells remain after merging; use fewer bins" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_draws_in_2d_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        refuse_sampling(monkeypatch)
+        args = [
+            "validate", "--density", "exp(-(x^2+y^2))", "--vars", "x,y", "--box", "-2:2,-2:2",
+            "--n", "0", "--seed", "1",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: requested sample count must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -223,6 +223,19 @@ class TestGrmc:
         assert ok_a.tolist() == ok_b.tolist()
         assert np.array_equal(pts_a, pts_b)
 
+    def test_cells_break_ties_as_srmc_does(self, monkeypatch):
+        # two cells of height 1.2 over f = 1: f/h == 0.8333333333333334 == u,
+        # but h * u rounds to 1.0, so f > h*u rejects, as srmc's test does
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
+        prop = build_piecewise_proposal(field, Box([(0, 1)]), 2)
+        assert prop.heights.tolist() == [1.2, 1.2]
+        two_cells = grmc_sample(field, prop, 1, 0)
+        # two proposals of (cell, x, u): the tie, then a clear acceptance
+        block = [0.25, 0.5, 0.8333333333333334, 0.75, 0.5, 0.5]
+        _, ok = two_cells(FixedUniforms(block), 2)
+        assert ok.tolist() == [False, True]
+
     def test_refined_proposal_accepts_more(self, sine_field, sine_box):
         single = build_piecewise_proposal(sine_field, sine_box, 1)
         fine = build_piecewise_proposal(sine_field, sine_box, 64)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rejmc import (
     GofReport,
@@ -131,7 +132,7 @@ class TestChiSquareBox:
     def test_gaussian_samples_pass(self, gauss_field, gauss_box):
         target = validate_target(gauss_field, gauss_box, GAUSS_C_LOOSE)
         batch = srmc_sample(target, 100_000, 321)
-        report = chi_square_box(batch, target, 8)
+        report = chi_square_box(target, 8, 100_000).test(batch)
         assert report.kind == "chi_square"
         assert report.passed
         assert report.dof == report.dof and report.dof >= 8
@@ -144,14 +145,14 @@ class TestChiSquareBox:
             "exp(-(x^2 + y^2 - 1.6*x*y)/0.72) / (2*pi*sqrt(0.36))", VarOrder(["x", "y"])
         )
         wrong_target = validate_target(wrong, gauss_box)
-        report = chi_square_box(batch, wrong_target, 8)
+        report = chi_square_box(wrong_target, 8, 100_000).test(batch)
         assert not report.passed
 
     def test_point_mass_fails_against_uniform(self):
         field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
         target = validate_target(field, Box([(0, 1)]), 1.0)
         clumped = np.full((1000, 1), 0.5)
-        report = chi_square_box(clumped, target, 8)
+        report = chi_square_box(target, 8, 1000).test(clumped)
         assert not report.passed
         assert report.dof == 7  # no merging: expected 125 per cell
 
@@ -166,7 +167,7 @@ class TestChiSquareBox:
         batch = srmc_sample(target, 2000, 5)
         tracemalloc.start()
         try:
-            report = chi_square_box(batch, target, 6)
+            report = chi_square_box(target, 6, 2000).test(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,7 +179,7 @@ class TestChiSquareBox:
 
         target = validate_target(sine_field, sine_box, 1.1)
         batch = srmc_sample(target, 20_000, 17)
-        report = chi_square_box(batch, target, 16)
+        report = chi_square_box(target, 16, 20_000).test(batch)
         assert report.threshold == chi2.ppf(0.999, report.dof)
 
     def test_gammaincinv_quantile_equals_chi2_ppf_bit_for_bit(self):
@@ -207,28 +208,56 @@ class TestChiSquareBox:
         assert type(threshold) is float
         assert threshold == float(2 * gammaincinv(dof / 2, 0.999))
 
+    def test_plan_refuses_a_batch_of_another_size(self):
+        field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
+        plan = chi_square_box(validate_target(field, Box([(0, 1)]), 1.0), 8, 1000)
+        for rows in (999, 1001):
+            with pytest.raises(ValueError, match=f"planned for 1000 draws, got {rows}"):
+                plan.test(np.full((rows, 1), 0.5))
+
 
 class TestMergeRule:
     def test_small_cells_merge_into_largest_neighbor(self):
         observed = np.array([2.0, 1.0, 110.0, 90.0])
         expected = np.array([1.0, 2.0, 100.0, 100.0])
-        obs, exp = _merge_small_cells(observed, expected, (4,))
+        groups, exp = _merge_small_cells(expected, (4,))
+        obs = np.bincount(groups, weights=observed)
         assert exp.tolist() == [103.0, 100.0]
         assert obs.tolist() == [113.0, 90.0]
 
     def test_no_merge_when_all_large(self):
         observed = np.array([10.0, 12.0, 9.0])
         expected = np.array([10.0, 10.0, 11.0])
-        obs, exp = _merge_small_cells(observed, expected, (3,))
+        groups, exp = _merge_small_cells(expected, (3,))
+        obs = np.bincount(groups, weights=observed)
         assert obs.tolist() == [10.0, 12.0, 9.0]
         assert exp.tolist() == [10.0, 10.0, 11.0]
 
     def test_2d_row_major_merge(self):
         expected = np.array([[1.0, 50.0], [40.0, 60.0]])
-        observed = np.zeros_like(expected)
-        obs, exp = _merge_small_cells(observed.ravel(), expected.ravel(), (2, 2))
+        _, exp = _merge_small_cells(expected.ravel(), (2, 2))
         # cell (0,0) merges into its largest neighbor, (0,1) with 50
         assert sorted(exp.tolist()) == [40.0, 51.0, 60.0]
+
+
+@st.composite
+def merge_cases(draw):
+    bins = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    cells = math.prod(bins)
+    expected = draw(st.lists(st.floats(0.0, 20.0), min_size=cells, max_size=cells))
+    return np.array(expected), bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_merge_partitions_cells_into_groups_of_at_least_five(case):
+    expected, bins = case
+    groups, group_exp = _merge_small_cells(expected, bins)
+    # every cell has one group, and every group has a cell
+    assert groups.shape == expected.shape
+    assert np.array_equal(np.unique(groups), np.arange(group_exp.size))
+    assert np.allclose(np.bincount(groups, weights=expected), group_exp, rtol=1e-12, atol=0.0)
+    assert group_exp.size == 1 or np.all(group_exp >= 5.0)
 
 
 class TestPredictedAcceptance:
