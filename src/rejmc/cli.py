@@ -4,8 +4,9 @@ and envelope estimation runs.
 Commands write a samples CSV and/or a run-metadata JSON file. Outputs are
 byte-identical for identical flags and seed, whatever RMC_THREADS says; wall
 time is reported on stderr only, never in the files. Exit codes: 0 success
-or pass, 1 usage error or a density that faults, 2 expression parse error,
-3 sampling budget exhaustion, 4 validation failure.
+or pass, 1 usage error or a density that faults, 2 expression parse error
+or an expression that nests too deeply, 3 sampling budget exhaustion,
+4 validation failure.
 """
 from __future__ import annotations
 
@@ -364,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"rejmc: expression error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        # parsing, evaluating or printing an expression recurses once per level
+        print("rejmc: expression error: expression nests too deeply", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExhausted as exc:
         print(f"rejmc: {exc}", file=sys.stderr)

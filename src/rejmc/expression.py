@@ -12,6 +12,9 @@ Grammar (whitespace insignificant, identifiers ASCII [A-Za-z_][A-Za-z0-9_]*):
     power   := atom [ "^" factor ]
     atom    := number | ident | ident "(" expr { "," expr } ")" | "(" expr ")"
 
+The parser (precedence climbing) and the printer read these binding
+strengths from one table, _PREC.
+
 "^" is right-associative and binds tighter than unary minus, so -x^2 means
 -(x^2). Relational operators yield exactly 1.0 or 0.0; "and" multiplies the
 indicator values of its operands, which must be comparisons. pi and e are
@@ -181,27 +184,25 @@ class EvalError(ArithmeticError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op><=|>=|[<>+\-*/^(),])"
+    r"|(?P<bad>\S))"
 )
+# binding strength of each binary operator, by its token; unary minus binds
+# at _NEG, between "/" and "^"
+_PREC = {"and": 1, "<=": 2, ">=": 2, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 6}
+_NEG = 5
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -219,9 +220,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def accept_op(self, *ops: str):
+    def accept_op(self, op: str):
         kind, text, _ = self.peek()
-        if kind == "op" and text in ops:
+        if kind == "op" and text == op:
             return self.advance()
         return None
 
@@ -231,60 +232,39 @@ class _Parser:
             raise ParseError(f"unexpected {text or 'end of input'!r}", offset, expected=repr(op))
         return self.advance()
 
-    def parse_expr(self) -> Node:
-        terms = [self.rel()]
-        offsets = []
+    def parse_expr(self, min_prec: int = 1) -> Node:
+        """An operand, then each binary operator of _PREC that binds at
+        least as tightly as min_prec, with its right operand."""
+        start = self.peek()[2]
+        # one unary minus prefixes a power, so the power may not start with one
+        if min_prec <= _NEG and self.accept_op("-"):
+            left = Neg(self.parse_expr(_PREC["^"]))
+        else:
+            left = self.atom()
+        # the right operand took every operator that binds tighter, so only
+        # one as loose may follow; comparisons do not chain
+        limit = _PREC["^"]
         while True:
-            kind, text, offset = self.peek()
-            if kind == "ident" and text == "and":
-                self.advance()
-                offsets.append(self.peek()[2])
-                terms.append(self.rel())
+            text = self.peek()[1]
+            prec = _PREC.get(text, 0)
+            if not min_prec <= prec <= limit:
+                return left
+            self.advance()
+            at = self.peek()[2]
+            # "^" is right-associative, and its exponent may start with a minus
+            right = self.parse_expr(_NEG if text == "^" else prec + 1)
+            if text == "and":
+                terms: list[Node] = []
+                for term, offset in ((left, start), (right, at)):
+                    if not isinstance(term, (Rel, And)):
+                        raise ParseError("operand of 'and' must be a comparison", offset)
+                    terms.extend(term.terms if isinstance(term, And) else [term])
+                left = And(tuple(terms))
+            elif prec == _PREC["<"]:
+                left = Rel(text, left, right)
             else:
-                break
-        if len(terms) == 1:
-            return terms[0]
-        flat: list[Node] = []
-        for i, term in enumerate(terms):
-            if not isinstance(term, (Rel, And)):
-                at = self.tokens[0][2] if i == 0 else offsets[i - 1]
-                raise ParseError("operand of 'and' must be a comparison", at)
-            flat.extend(term.terms if isinstance(term, And) else [term])
-        return And(tuple(flat))
-
-    def rel(self) -> Node:
-        left = self.sum()
-        tok = self.accept_op("<=", ">=", "<", ">")
-        if tok is None:
-            return left
-        return Rel(tok[1], left, self.sum())
-
-    def sum(self) -> Node:
-        node = self.term()
-        while True:
-            tok = self.accept_op("+", "-")
-            if tok is None:
-                return node
-            node = BinOp(tok[1], node, self.term())
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            tok = self.accept_op("*", "/")
-            if tok is None:
-                return node
-            node = BinOp(tok[1], node, self.factor())
-
-    def factor(self) -> Node:
-        if self.accept_op("-"):
-            return Neg(self.power())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.accept_op("^"):
-            return BinOp("^", base, self.factor())
-        return base
+                left = BinOp(text, left, right)
+            limit = prec - (prec == _PREC["<"])
 
     def atom(self) -> Node:
         kind, text, offset = self.advance()
@@ -455,13 +435,11 @@ def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-# binding strength of a BinOp by its operator, of any other node by its
-# class; a node not listed is an atom
-_PREC = {And: 1, Rel: 2, "+": 3, "-": 3, "*": 4, "/": 4, Neg: 5, "^": 6}
-
-
 def _prec(node: Node) -> int:
-    return _PREC.get(node.op if isinstance(node, BinOp) else type(node), 10)
+    """The binding strength of node's operator; an atom's is 10."""
+    if isinstance(node, (BinOp, Rel)):
+        return _PREC[node.op]
+    return {And: _PREC["and"], Neg: _NEG}.get(type(node), 10)
 
 
 def _render(node: Node, min_prec: int) -> str:
@@ -476,7 +454,7 @@ def _render(node: Node, min_prec: int) -> str:
             text = "-" + _render(op, _PREC["^"])
         case BinOp(op="^", left=left, right=right):
             # right-associative: parenthesize a pow on the left
-            text = _render(left, _PREC["^"] + 1) + "^" + _render(right, _PREC[Neg])
+            text = _render(left, _PREC["^"] + 1) + "^" + _render(right, _NEG)
         case BinOp(op=op, left=left, right=right):
             text = f"{_render(left, mine)} {op} {_render(right, mine + 1)}"
         case Call(func=func, args=args):
@@ -484,7 +462,7 @@ def _render(node: Node, min_prec: int) -> str:
         case Rel(op=op, left=left, right=right):
             text = f"{_render(left, _PREC['+'])} {op} {_render(right, _PREC['+'])}"
         case And(terms=terms):
-            text = " and ".join(_render(t, _PREC[Rel]) for t in terms)
+            text = " and ".join(_render(t, _PREC["<"]) for t in terms)
         case _:  # pragma: no cover
             raise TypeError(f"not an expression node: {node!r}")
     if mine < min_prec:

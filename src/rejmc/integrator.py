@@ -62,6 +62,14 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return value, stderr
 
 
+def _in_region(indicator: ScalarField, points: np.ndarray) -> np.ndarray:
+    """The region's indicator at each point, refused unless every value is 0 or 1."""
+    inside = indicator(points)
+    if not np.all((inside == 0.0) | (inside == 1.0)):
+        raise ValueError("region must evaluate to 0 or 1")
+    return inside
+
+
 def integrate_screened(
     g: ScalarField,
     region: Node,
@@ -89,7 +97,7 @@ def integrate_screened(
         # the n x d uniform batch is freed before the sampler runs
         a = vol * float(np.mean(g(uniform_box_block(rs, box, n))))
         batch = srmc_sample(target, n, rs.state)
-        in_region = int(np.count_nonzero(indicator(batch.points) == 1.0))
+        in_region = int(np.count_nonzero(_in_region(indicator, batch.points)))
         return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted
 
     results = ordered_map(one_rep, reps)
@@ -129,8 +137,7 @@ def integrate_direct(
 
     def one_rep(r: int) -> float:
         uniform = uniform_box_block(substream(run_seed, r), box, n)
-        inside = indicator(uniform)
-        return vol * float(np.mean(g(uniform) * inside))
+        return vol * float(np.mean(g(uniform) * _in_region(indicator, uniform)))
 
     values = ordered_map(one_rep, reps)
     value, stderr = _aggregate(values)

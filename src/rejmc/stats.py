@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SampleBatch, TargetSpec, bin_counts, grid_reduce
+from .model import SampleBatch, TargetSpec, bin_counts, check_grid_size, grid_reduce
 
 __all__ = [
     "SummaryStats",
@@ -194,8 +194,9 @@ def chi_square_box(target: TargetSpec, bins_per_dim: int | Sequence[int], n: int
     per cell), normalized over the box; cells with expected count below 5
     are merged into their largest neighbor. The groups depend on nothing
     sampled, so every refusal comes before sampling: ValueError for n < 1,
-    bad bins, fewer than 2 cells, a grid over 2^28 points, a density that
-    vanishes on the grid, or fewer than 2 groups after merging.
+    bad bins, fewer than 2 cells, a grid over 2^28 points (before any of it
+    is built), a density that vanishes on the grid, or fewer than 2 groups
+    after merging.
     """
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
@@ -205,6 +206,7 @@ def chi_square_box(target: TargetSpec, bins_per_dim: int | Sequence[int], n: int
         raise ValueError("the chi-square test needs at least 2 cells; use more bins")
 
     q = _QUADRATURE_PER_DIM
+    check_grid_size([b * q for b in bins])
     axes = []
     for (lo, hi), b in zip(box.bounds, bins):
         step = (hi - lo) / (b * q)

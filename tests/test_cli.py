@@ -411,6 +411,14 @@ class TestExitCodes:
         assert f"rejmc: division by zero in {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_expression_nesting_too_deeply_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a sum of 3001 terms is a left-nested tree 3000 levels deep
+        density = "+".join(["x"] * 3001)
+        args = ["bound", "--density", density, "--vars", "x", "--box", "0:1"]
+        assert run(args, tmp_path, monkeypatch) == 2
+        assert "rejmc: expression error: expression nests too deeply" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_validation_failure_exits_4(self, tmp_path, monkeypatch):
         # samples from the sine density tested against a uniform CDF
         args = [
@@ -603,6 +611,30 @@ class TestIntegrate:
         meta = json.loads((tmp_path / "run.json").read_text())
         assert abs(meta["value"] - 6.0) < 0.2
         assert meta["bound_c"] is None
+
+    @pytest.mark.parametrize("method", ["screened", "direct"])
+    def test_region_that_is_not_0_or_1_is_usage_error(
+        self, method, tmp_path, monkeypatch, capsys
+    ):
+        args = [
+            "integrate", "--integrand", "1", "--region", "0.5", "--vars", "x", "--box", "0:1",
+            "--n", "20000", "--reps", "4", "--seed", "1", "--method", method,
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: region must evaluate to 0 or 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["screened", "direct"])
+    def test_union_region_runs(self, method, tmp_path, monkeypatch):
+        # the region is a union of comparisons, 0 or 1 by value, not by syntax
+        args = [
+            "integrate", "--integrand", "1", "--region", "max(x <= 1, x >= 3)",
+            "--vars", "x", "--box", "0:4", "--n", "20000", "--reps", "4", "--seed", "1",
+            "--method", method,
+        ]
+        assert run(args, tmp_path, monkeypatch) == 0
+        meta = json.loads((tmp_path / "run.json").read_text())
+        assert abs(meta["value"] - 2.0) < 0.1
 
     def test_byte_identical_runs(self, tmp_path, monkeypatch):
         base = [

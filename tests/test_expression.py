@@ -47,6 +47,11 @@ class TestParseAndEval:
         assert evaluate(parse("(1 + 2)*3")) == 9.0
         assert evaluate(parse("2*-3")) == -6.0
         assert evaluate(parse("2^-1")) == 0.5
+        x, y = Var("x", 0), Var("y", 1)
+        assert parse("2^-x", ["x", "y"]) == BinOp("^", Num(2.0), Neg(x))
+        assert parse("x*-y", ["x", "y"]) == BinOp("*", x, Neg(y))
+        assert parse("-x^2", ["x", "y"]) == Neg(BinOp("^", x, Num(2.0)))
+        assert parse("(x<y)<x", ["x", "y"]) == Rel("<", Rel("<", x, y), x)
 
     def test_scientific_literals(self):
         assert evaluate(parse("1e3 + 2.5E-1")) == 1000.25
@@ -114,9 +119,34 @@ class TestErrors:
             parse("1 + $", [])
         assert err.value.offset == 4
 
-    def test_and_requires_comparisons(self):
-        with pytest.raises(ParseError, match="comparison"):
-            parse("x and y", ["x", "y"])
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("x and y", 0), ("y<1 and (x and z<1)", 9), ("  x * ( x and 2.5", 8)],
+        ids=["first-operand", "in-parentheses", "after-spaces"],
+    )
+    def test_and_requires_comparisons(self, text, offset):
+        # the offset is the bad operand's, also inside parentheses
+        with pytest.raises(ParseError, match="comparison") as err:
+            parse(text, ["x", "y", "z"])
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            # one unary minus prefixes a power, not another minus
+            ("--x", "unexpected '-'", 1),
+            ("- -x", "unexpected '-'", 2),
+            ("2^--x", "unexpected '-'", 3),
+            # an unparenthesized comparison cannot follow another one
+            ("a<b<c", "unexpected '<' after expression", 3),
+            ("a<b and c<d<f", "unexpected '<' after expression", 11),
+            ("(a<b) and c<d<f", "unexpected '<' after expression", 13),
+        ],
+    )
+    def test_refused_with_offset(self, text, message, offset):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text, ["a", "b", "c", "d", "f", "x"])
+        assert err.value.offset == offset
 
     @pytest.mark.parametrize(
         "text,point",

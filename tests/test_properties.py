@@ -6,8 +6,9 @@ broadcast, grid evaluation against the meshgrid matrix, the table-driven
 evaluator against a frozen copy of the per-operator one, the piecewise
 generator against the one-shot splitmix64 formula, the CSV and SVG writers
 against per-value formatting, and the samplers against their own output
-under another batch schedule. One more states an invariant outright:
-evaluate_batch returns no NaN.
+under another batch schedule. Two more state an invariant outright:
+evaluate_batch returns no NaN, and a string of tokens either parses to an
+AST that survives the round trip through to_text or raises ParseError.
 """
 import itertools
 import math
@@ -21,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 import rejmc.cli as cli
 import rejmc.expression as expression
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
-from rejmc import parse, samplers, srmc_sample, svgplot, validate_target
+from rejmc import ParseError, parse, samplers, srmc_sample, svgplot, validate_target
 from rejmc.expression import And, BinOp, Call, Const, Grid, Neg, Num, Rel, Var
 from rejmc.expression import evaluate_batch, to_text
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, scale_to_box
@@ -112,6 +113,22 @@ def asts(d: int):
 def test_render_parse_round_trip(case):
     d, ast = case
     assert parse(to_text(ast), NAMES[:d]) == ast
+
+
+TOKENS = "x y 1 2.5 pi sin min ( ) , + - * / ^ < <= > >= and".split()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(["", " "])), max_size=12))
+@example([("-", ""), ("-", ""), ("x", "")])
+@example([("(", ""), ("x", ""), ("<", ""), ("y", ""), (")", ""), ("<", ""), ("x", "")])
+def test_token_strings_parse_and_round_trip_or_raise_parse_error(words):
+    text = "".join(w + sep for w, sep in words)
+    try:
+        ast = parse(text, NAMES[:2])
+    except ParseError:
+        return
+    assert parse(to_text(ast), NAMES[:2]) == ast
 
 
 def outcome(fn):

@@ -174,6 +174,18 @@ class TestChiSquareBox:
         assert report.passed
         assert peak < 64 * 2**20
 
+    def test_oversized_grid_refused_before_any_axis_is_built(self, gauss_field, gauss_box):
+        # 65536 bins of 32 points per axis: the two axes alone take 32 MB
+        target = validate_target(gauss_field, gauss_box, GAUSS_C_LOOSE)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                chi_square_box(target, 65536, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_threshold_is_999_quantile(self, sine_field, sine_box):
         from scipy.stats import chi2
 
