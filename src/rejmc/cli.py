@@ -366,10 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"rejmc: expression error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RecursionError:
-        # parsing, evaluating or printing an expression recurses once per level
-        print("rejmc: expression error: expression nests too deeply", file=sys.stderr)
-        return EXIT_PARSE
     except BudgetExhausted as exc:
         print(f"rejmc: {exc}", file=sys.stderr)
         return EXIT_BUDGET

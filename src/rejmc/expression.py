@@ -16,15 +16,20 @@ The parser (precedence climbing) and the printer read these binding
 strengths from one table, _PREC.
 
 "^" is right-associative and binds tighter than unary minus, so -x^2 means
--(x^2). Relational operators yield exactly 1.0 or 0.0; "and" multiplies the
-indicator values of its operands, which must be comparisons. pi and e are
+-(x^2). Comparisons and "and" are binary operators: a comparison yields
+exactly 1.0 or 0.0, and "and" multiplies its operands, which must be
+comparisons or "and"s; like "+", it is left-associative. pi and e are
 reserved constants and may not be declared as variables.
+
+Each operator, function call and pair of parentheses between the whole
+expression and a number or name is one level of nesting; parse refuses an
+expression more than MAX_DEPTH levels deep with a ParseError.
 
 ASTs are immutable after parse; evaluation is pure and reentrant. Domain
 faults (division by zero, zero to a negative power, log of a nonpositive
 value, sqrt of a negative value, a negative base with a non-integer
-exponent, or anything else that would produce NaN) raise EvalError instead of
-propagating NaN.
+exponent, or anything else that would produce NaN, even where a comparison
+would turn it into 0.0) raise EvalError instead of propagating NaN.
 """
 from __future__ import annotations
 
@@ -50,12 +55,11 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
-    "Rel",
-    "And",
 ]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
-# every binary operator, comparison and function, by its name in the grammar
+# every binary operator and function, by its name in the grammar; "and"
+# multiplies its operands, which are exactly 0.0 or 1.0
 _UFUNCS = {
     "+": np.add,
     "-": np.subtract,
@@ -66,6 +70,7 @@ _UFUNCS = {
     ">=": np.greater_equal,
     "<": np.less,
     ">": np.greater,
+    "and": np.multiply,
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -76,7 +81,7 @@ _UFUNCS = {
     "min": np.minimum,
     "max": np.maximum,
 }
-FUNCTION_ARITY = {name: f.nin for name, f in _UFUNCS.items() if name.isidentifier()}
+FUNCTION_ARITY = {n: f.nin for n, f in _UFUNCS.items() if n.isidentifier() and n != "and"}
 # operands a name refuses before its ufunc runs; kept in step with the
 # domain faults listed in the module docstring
 _FAULTS = {
@@ -137,7 +142,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # a key of _PREC: + - * / ^ <= >= < > and
     left: "Node"
     right: "Node"
 
@@ -148,19 +153,7 @@ class Call:
     args: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Rel:
-    op: str  # one of <= >= < >
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class And:
-    terms: tuple["Node", ...]
-
-
-Node = Union[Num, Const, Var, Neg, BinOp, Call, Rel, And]
+Node = Union[Num, Const, Var, Neg, BinOp, Call]
 
 
 class ParseError(ValueError):
@@ -193,6 +186,9 @@ _TOKEN_RE = re.compile(
 # at _NEG, between "/" and "^"
 _PREC = {"and": 1, "<=": 2, ">=": 2, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 6}
 _NEG = 5
+# levels of nesting parse accepts; the parser, _eval and _render recurse at
+# most three times per level, well inside Python's default limit of 1000
+MAX_DEPTH = 256
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -204,6 +200,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _nest(depth: int, offset: int) -> int:
+    """The depth of a level that the token at offset opens below depth."""
+    if depth >= MAX_DEPTH:
+        raise ParseError(f"expression nests too deeply (over {MAX_DEPTH} levels)", offset)
+    return depth + 1
 
 
 class _Parser:
@@ -232,70 +235,71 @@ class _Parser:
             raise ParseError(f"unexpected {text or 'end of input'!r}", offset, expected=repr(op))
         return self.advance()
 
-    def parse_expr(self, min_prec: int = 1) -> Node:
+    def parse_expr(self, min_prec: int = 1, depth: int = 0) -> tuple[Node, int]:
         """An operand, then each binary operator of _PREC that binds at
-        least as tightly as min_prec, with its right operand."""
+        least as tightly as min_prec, with its right operand. depth counts
+        the levels around it; returns the tree and the depth of its deepest
+        leaf, also counted from the whole expression."""
         start = self.peek()[2]
         # one unary minus prefixes a power, so the power may not start with one
         if min_prec <= _NEG and self.accept_op("-"):
-            left = Neg(self.parse_expr(_PREC["^"]))
+            operand, deepest = self.parse_expr(_PREC["^"], _nest(depth, start))
+            left = Neg(operand)
         else:
-            left = self.atom()
+            left, deepest = self.atom(depth)
         # the right operand took every operator that binds tighter, so only
         # one as loose may follow; comparisons do not chain
         limit = _PREC["^"]
         while True:
-            text = self.peek()[1]
+            _, text, offset = self.peek()
             prec = _PREC.get(text, 0)
             if not min_prec <= prec <= limit:
-                return left
+                return left, deepest
             self.advance()
             at = self.peek()[2]
             # "^" is right-associative, and its exponent may start with a minus
-            right = self.parse_expr(_NEG if text == "^" else prec + 1)
+            right, right_deepest = self.parse_expr(
+                _NEG if text == "^" else prec + 1, _nest(depth, offset)
+            )
             if text == "and":
-                terms: list[Node] = []
-                for term, offset in ((left, start), (right, at)):
-                    if not isinstance(term, (Rel, And)):
-                        raise ParseError("operand of 'and' must be a comparison", offset)
-                    terms.extend(term.terms if isinstance(term, And) else [term])
-                left = And(tuple(terms))
-            elif prec == _PREC["<"]:
-                left = Rel(text, left, right)
-            else:
-                left = BinOp(text, left, right)
+                for term, term_at in ((left, start), (right, at)):
+                    if _prec(term) > _PREC["<"]:
+                        raise ParseError("operand of 'and' must be a comparison", term_at)
+            left = BinOp(text, left, right)
+            # every leaf of the left operand is now one level deeper
+            deepest = max(_nest(deepest, offset), right_deepest)
             limit = prec - (prec == _PREC["<"])
 
-    def atom(self) -> Node:
+    def atom(self, depth: int) -> tuple[Node, int]:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), depth
         if kind == "ident":
             if text == "and":
                 raise ParseError("'and' is not a value", offset)
             if self.accept_op("("):
-                return self.call(text, offset)
+                return self.call(text, offset, _nest(depth, offset))
             if text in CONSTANTS:
-                return Const(text)
+                return Const(text), depth
             if text in self.var_index:
-                return Var(text, self.var_index[text])
+                return Var(text, self.var_index[text]), depth
             if text in FUNCTION_ARITY:
                 raise ParseError(f"function {text!r} requires arguments", offset, expected="'('")
             raise ParseError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
-            inner = self.parse_expr()
+            inner = self.parse_expr(1, _nest(depth, offset))
             self.expect_op(")")
             return inner
         raise ParseError(
             f"unexpected {text or 'end of input'!r}", offset, expected="a number, name or '('"
         )
 
-    def call(self, name: str, offset: int) -> Node:
+    def call(self, name: str, offset: int, depth: int) -> tuple[Node, int]:
         if name not in FUNCTION_ARITY:
             raise ParseError(f"unknown function {name!r}", offset)
-        args = [self.parse_expr()]
+        args = [self.parse_expr(1, depth)]
         while self.accept_op(","):
-            args.append(self.parse_expr())
+            args.append(self.parse_expr(1, depth))
         self.expect_op(")")
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
@@ -304,7 +308,8 @@ class _Parser:
                 f" got {len(args)}",
                 offset,
             )
-        return Call(name, tuple(args))
+        nodes, deepest = zip(*args)
+        return Call(name, nodes), max(deepest)
 
 
 def parse(text: str, variables: VarOrder | Sequence[str] = ()) -> Node:
@@ -323,7 +328,7 @@ def parse(text: str, variables: VarOrder | Sequence[str] = ()) -> Node:
     if len(set(names)) != len(names):
         raise ParseError(f"duplicate variable names: {names}", 0)
     parser = _Parser(_tokenize(text), {name: i for i, name in enumerate(names)})
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, text_left, offset = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {text_left!r} after expression", offset)
@@ -341,13 +346,11 @@ def free_vars(node: Node) -> set[str]:
                 out.add(name)
             case Neg(operand=op):
                 stack.append(op)
-            case BinOp(left=left, right=right) | Rel(left=left, right=right):
+            case BinOp(left=left, right=right):
                 stack.append(left)
                 stack.append(right)
             case Call(args=args):
                 stack.extend(args)
-            case And(terms=terms):
-                stack.extend(terms)
     return out
 
 
@@ -361,13 +364,15 @@ def _eval(node: Node, cols: Sequence[np.ndarray]):
             return cols[index]
         case Neg(operand=operand):
             return -_eval(operand, cols)
-        case And(terms=terms):
-            out = _eval(terms[0], cols)
-            for term in terms[1:]:
-                out = out * _eval(term, cols)
-            return out
-        case BinOp(op=op, left=left, right=right) | Rel(op=op, left=left, right=right):
+        case BinOp(op=op, left=left, right=right):
             args = (_eval(left, cols), _eval(right, cols))
+            if _PREC[op] == _PREC["<"]:
+                # a NaN compares false, so it would vanish from the result
+                for arg, operand in zip(args, (left, right)):
+                    if np.any(np.isnan(arg)):
+                        raise EvalError("evaluation produced NaN", operand)
+                # a comparison yields exactly 1.0 or 0.0
+                return np.multiply(_UFUNCS[op](*args), 1.0)
         case Call(func=op, args=nodes):
             args = [_eval(arg, cols) for arg in nodes]
         case _:
@@ -378,8 +383,7 @@ def _eval(node: Node, cols: Sequence[np.ndarray]):
     out = _UFUNCS[op](*args)
     if op == "^" and np.any(np.isnan(out)):
         raise EvalError("negative base with non-integer exponent", node)
-    # a comparison yields exactly 1.0 or 0.0
-    return np.multiply(out, 1.0) if isinstance(node, Rel) else out
+    return out
 
 
 class Grid:
@@ -437,9 +441,9 @@ def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
 
 def _prec(node: Node) -> int:
     """The binding strength of node's operator; an atom's is 10."""
-    if isinstance(node, (BinOp, Rel)):
+    if isinstance(node, BinOp):
         return _PREC[node.op]
-    return {And: _PREC["and"], Neg: _NEG}.get(type(node), 10)
+    return _NEG if isinstance(node, Neg) else 10
 
 
 def _render(node: Node, min_prec: int) -> str:
@@ -456,13 +460,11 @@ def _render(node: Node, min_prec: int) -> str:
             # right-associative: parenthesize a pow on the left
             text = _render(left, _PREC["^"] + 1) + "^" + _render(right, _NEG)
         case BinOp(op=op, left=left, right=right):
-            text = f"{_render(left, mine)} {op} {_render(right, mine + 1)}"
+            # left-associative, except that comparisons do not chain
+            left_prec = mine + (mine == _PREC["<"])
+            text = f"{_render(left, left_prec)} {op} {_render(right, mine + 1)}"
         case Call(func=func, args=args):
             text = f"{func}({', '.join(_render(a, 0) for a in args)})"
-        case Rel(op=op, left=left, right=right):
-            text = f"{_render(left, _PREC['+'])} {op} {_render(right, _PREC['+'])}"
-        case And(terms=terms):
-            text = " and ".join(_render(t, _PREC["<"]) for t in terms)
         case _:  # pragma: no cover
             raise TypeError(f"not an expression node: {node!r}")
     if mine < min_prec:

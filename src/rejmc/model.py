@@ -352,14 +352,17 @@ def estimate_bound_argmax(
 @dataclass(frozen=True, eq=False)
 class PiecewiseUniformProposal:
     """Histogram-shaped envelope: constant height per cell of a regular
-    partition. Cells with zero height are never proposed."""
+    partition.
+
+    ``cumulative`` holds each cell's cumulative share of the total mass, in
+    flat (C) order, and a uniform u picks the cell
+    ``searchsorted(cumulative, u, side="right")``. A cell with zero height
+    repeats the share before it, so it is never proposed."""
 
     box: Box
     bins: tuple[int, ...]
     heights: np.ndarray  # shape == bins
     total_mass: float
-    # flat (C-order) tables over positive-mass cells, for inverse-CDF lookup
-    positive_cells: np.ndarray
     cumulative: np.ndarray
 
     @property
@@ -419,16 +422,10 @@ def build_piecewise_proposal(
     if not total > 0.0:
         raise ModelValidationError("field vanishes on the whole partition grid")
 
-    positive = np.nonzero(masses_flat > 0.0)[0]
-    cum = np.cumsum(masses_flat[positive])
+    cum = np.cumsum(masses_flat)
     cum /= cum[-1]
     cum[-1] = 1.0
 
     return PiecewiseUniformProposal(
-        box=box,
-        bins=bins,
-        heights=heights,
-        total_mass=total,
-        positive_cells=positive,
-        cumulative=cum,
+        box=box, bins=bins, heights=heights, total_mass=total, cumulative=cum
     )

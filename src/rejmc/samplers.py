@@ -267,12 +267,12 @@ def grmc_sample(
         propose_and_test = _uniform_box_test(field, box, float(heights_flat[0]))
     else:
         cell_widths = proposal.cell_widths
-        cum, positive = proposal.cumulative, proposal.positive_cells
+        cum = proposal.cumulative
         ws = _Workspace()
 
         def propose_and_test(local: RandomStream, batch: int):
             u = ws.uniforms(local, batch, d + 2)
-            cells = positive[np.searchsorted(cum, u[:, 0], side="right")]
+            cells = np.searchsorted(cum, u[:, 0], side="right")
             lows = proposal.cell_lower(cells, out=ws.columns("lows", batch, d))
             pts = scale_to_box(u[:, 1:], lows, cell_widths, out=ws.columns("pts", batch, d))
             return pts, field(pts) > heights_flat[cells] * u[:, d + 1]

@@ -8,12 +8,12 @@ parses N (default 100000) random strings with it and with this checkout's
 parser, against the variables x and y. Each string is 1 to 12 tokens drawn
 from TOKENS, joined with a space or with nothing, so that tokens also run
 together ("xy", "12.5", "andx"). Prints how many strings each parser
-accepts, how many accepted ASTs are equal, and each class of difference
-with its count and up to three examples: an AST that differs, a string
-only one parser accepts, and, for strings both refuse, each pair of
-messages with the offsets stripped (or "same message, other offset").
-Exits 1 when an AST or an accept/refuse outcome differs. pytest does not
-collect this file.
+accepts, how many accepted ASTs are equal as canonical trees (see
+``tree``), and each class of difference with its count and up to three
+examples: an AST that differs, a string only one parser accepts, and, for
+strings both refuse, each pair of messages with the offsets stripped (or
+"same message, other offset"). Exits 1 when an AST or an accept/refuse
+outcome differs. pytest does not collect this file.
 """
 import dataclasses
 import random
@@ -41,11 +41,28 @@ def load(rev: str) -> types.ModuleType:
     return module
 
 
+def and_terms(node) -> list:
+    """The operands of an 'and' chain, however it nests: a flat And node
+    or nested BinOp('and', ...) nodes."""
+    kind = type(node).__name__
+    if kind == "And":
+        return [t for term in node.terms for t in and_terms(term)]
+    if kind == "BinOp" and node.op == "and":
+        return and_terms(node.left) + and_terms(node.right)
+    return [node]
+
+
 def tree(node):
-    """An AST as nested tuples, so ASTs of two modules compare equal."""
+    """An AST as nested tuples, so ASTs of two modules compare equal. The
+    tree is canonical across the two forms the parser has had: a Rel is a
+    BinOp, and an 'and' chain is one flat And of its operands."""
     if dataclasses.is_dataclass(node):
+        kind = type(node).__name__
+        if kind == "And" or kind == "BinOp" and node.op == "and":
+            return ("And", tuple(tree(t) for t in and_terms(node)))
         fields = dataclasses.fields(node)
-        return (type(node).__name__, *(tree(getattr(node, f.name)) for f in fields))
+        kind = "BinOp" if kind == "Rel" else kind
+        return (kind, *(tree(getattr(node, f.name)) for f in fields))
     if isinstance(node, tuple):
         return tuple(tree(x) for x in node)
     return node

@@ -54,6 +54,16 @@ def sample_args(n=2000, seed="1", extra=()):
 
 
 class TestSample:
+    def test_nan_in_density_comparison_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # sin(inf) is NaN for x > 0.71; the density used to read it as 0 there
+        args = [
+            "sample", "--density", "(sin(exp(1000*x)) >= -2)", "--vars", "x", "--box", "0:1",
+            "--n", "1000", "--seed", "1",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: evaluation produced NaN" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_csv_and_metadata(self, tmp_path, monkeypatch):
         assert run(sample_args(), tmp_path, monkeypatch) == 0
         lines = (tmp_path / "samples.csv").read_text().splitlines()
@@ -622,6 +632,20 @@ class TestIntegrate:
         ]
         assert run(args, tmp_path, monkeypatch) == 1
         assert "rejmc: region must evaluate to 0 or 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["screened", "direct"])
+    def test_nan_in_region_comparison_is_usage_error(
+        self, method, tmp_path, monkeypatch, capsys
+    ):
+        # inf - inf is NaN for x > 0.71; a comparison used to read it as 0
+        args = [
+            "integrate", "--integrand", "1", "--region", "exp(1000*x) - exp(1000*x) < 1",
+            "--vars", "x", "--box", "0:1", "--n", "20000", "--reps", "4", "--seed", "1",
+            "--method", method,
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: evaluation produced NaN" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("method", ["screened", "direct"])

@@ -1,11 +1,12 @@
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from rejmc import EvalError, ParseError, VarOrder, parse
-from rejmc.expression import And, BinOp, Call, Const, Neg, Num, Rel, Var
+from rejmc.expression import MAX_DEPTH, BinOp, Call, Const, Neg, Num, Var
 from rejmc.expression import evaluate_batch, free_vars, to_text
 
 
@@ -51,7 +52,19 @@ class TestParseAndEval:
         assert parse("2^-x", ["x", "y"]) == BinOp("^", Num(2.0), Neg(x))
         assert parse("x*-y", ["x", "y"]) == BinOp("*", x, Neg(y))
         assert parse("-x^2", ["x", "y"]) == Neg(BinOp("^", x, Num(2.0)))
-        assert parse("(x<y)<x", ["x", "y"]) == Rel("<", Rel("<", x, y), x)
+        assert parse("(x<y)<x", ["x", "y"]) == BinOp("<", BinOp("<", x, y), x)
+
+    def test_and_chain_is_left_fold_of_comparisons(self):
+        names = ["a", "b", "c", "d", "f", "g"]
+        a, b, c, d, f, g = (Var(n, i) for i, n in enumerate(names))
+        ab, cd, gf = BinOp("<", a, b), BinOp("<", c, d), BinOp("<", g, f)
+        assert parse("a<b and c<d and g<f", names) == BinOp(
+            "and", BinOp("and", ab, cd), gf
+        )
+        # parentheses around a later part of the chain are kept, not flattened
+        nested = parse("a<b and (c<d and g<f)", names)
+        assert nested == BinOp("and", ab, BinOp("and", cd, gf))
+        assert to_text(nested) == "a < b and (c < d and g < f)"
 
     def test_scientific_literals(self):
         assert evaluate(parse("1e3 + 2.5E-1")) == 1000.25
@@ -141,6 +154,8 @@ class TestErrors:
             ("a<b<c", "unexpected '<' after expression", 3),
             ("a<b and c<d<f", "unexpected '<' after expression", 11),
             ("(a<b) and c<d<f", "unexpected '<' after expression", 13),
+            # "and" is an operator, not a function
+            ("x<1 and and(a<b, c<d)", "'and' is not a value", 8),
         ],
     )
     def test_refused_with_offset(self, text, message, offset):
@@ -176,11 +191,87 @@ class TestErrors:
         with pytest.raises(EvalError):
             evaluate_batch(ast, np.array([[1.0], [-1.0]]))
 
+    @pytest.mark.parametrize(
+        "text,operand",
+        [
+            ("exp(1000)-exp(1000) < 1", "exp(1000.0) - exp(1000.0)"),
+            ("sin(exp(1000)) >= 0", "sin(exp(1000.0))"),
+            ("min(exp(1000)-exp(1000), 1) < 2", "min(exp(1000.0) - exp(1000.0), 1.0)"),
+            ("x < 1 and 2 > sin(exp(1000*x))", "sin(exp(1000.0 * x))"),
+        ],
+    )
+    def test_nan_operand_of_comparison_raises(self, text, operand):
+        # a NaN compares false: without the check these would return 0.0
+        ast = parse(text, ["x"])
+        with pytest.raises(EvalError, match="evaluation produced NaN") as err:
+            evaluate_batch(ast, np.array([[0.5], [1.0]]))
+        assert to_text(err.value.node) == operand
+
     def test_nan_never_silently_returned(self):
         # inf - inf is not on the named fault list but must still raise
         ast = parse("exp(x) - exp(x + 0*x)", ["x"])
         with pytest.raises(EvalError):
             evaluate(ast, (1000.0,))
+
+
+def _sum(n):
+    return "+".join(["x"] * n)
+
+
+def _and_chain(n):
+    return " and ".join(["x < 1"] * n)
+
+
+def _parens(n):
+    return "(" * n + "x" + ")" * n
+
+
+def _calls(n):
+    return "sin(" * n + "x" + ")" * n
+
+
+def _right_sums(n):
+    # x+(x+(...)): two levels, an operator and a pair of parentheses, per term
+    return "x+(" * n + "x" + ")" * n
+
+
+class TestDepthLimit:
+    # (text at MAX_DEPTH levels, text one level deeper, the token that opens
+    # the level one too deep: the last one of its kind)
+    CASES = {
+        "sum": (_sum(MAX_DEPTH + 1), _sum(MAX_DEPTH + 2), "+"),
+        "and-chain": (_and_chain(MAX_DEPTH), _and_chain(MAX_DEPTH + 1), "and"),
+        "parentheses": (_parens(MAX_DEPTH), _parens(MAX_DEPTH + 1), "("),
+        "calls": (_calls(MAX_DEPTH), _calls(MAX_DEPTH + 1), "sin"),
+        "right-nested-sum": (
+            _right_sums(MAX_DEPTH // 2),
+            "(" + _right_sums(MAX_DEPTH // 2) + ")",
+            "(",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_at_the_limit_parses_evaluates_on_a_pool_thread_and_prints(self, kind):
+        ast = parse(self.CASES[kind][0], ["x"])
+        pts = np.array([[0.25], [0.5]])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            values = pool.submit(evaluate_batch, ast, pts).result()
+        assert values.shape == (2,) and np.all(np.isfinite(values))
+        # compared as text: == on a tree this deep recurses past Python's limit
+        text = to_text(ast)
+        assert to_text(parse(text, ["x"])) == text
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_one_level_deeper_is_refused_with_offset(self, kind):
+        _, text, token = self.CASES[kind]
+        with pytest.raises(ParseError, match="expression nests too deeply") as err:
+            parse(text, ["x"])
+        assert err.value.offset == text.rindex(token)
+
+    @pytest.mark.parametrize("make", [_sum, _and_chain, _parens, _calls, _right_sums])
+    def test_far_too_deep_is_refused_not_a_recursion_error(self, make):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse(make(3001), ["x"])
 
 
 class TestFreeVars:
@@ -225,17 +316,21 @@ def _random_ast(rng, names, depth):
         nargs = 2 if func in ("min", "max") else 1
         return Call(func, tuple(_random_ast(rng, names, depth - 1) for _ in range(nargs)))
     if kind == 3:
-        op = rng.choice(["<=", ">=", "<", ">"])
-        return Rel(op, _random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
-    terms = tuple(
-        Rel(
-            rng.choice(["<=", ">="]),
-            _random_ast(rng, names, depth - 1),
-            _random_ast(rng, names, depth - 1),
-        )
-        for _ in range(rng.randrange(2, 4))
-    )
-    return And(terms)
+        return _random_comparison(rng, names, depth)
+    # an 'and' of two comparisons or 'and's: a chain, or one nested in
+    # either operand
+    return BinOp("and", *(_random_conjunct(rng, names, depth - 1) for _ in range(2)))
+
+
+def _random_comparison(rng, names, depth):
+    op = rng.choice(["<=", ">=", "<", ">"])
+    return BinOp(op, _random_ast(rng, names, depth - 1), _random_ast(rng, names, depth - 1))
+
+
+def _random_conjunct(rng, names, depth):
+    if depth > 0 and rng.random() < 0.3:
+        return BinOp("and", *(_random_conjunct(rng, names, depth - 1) for _ in range(2)))
+    return _random_comparison(rng, names, depth)
 
 
 class TestProperties:
@@ -283,7 +378,7 @@ class TestProperties:
         produced = set()
         for _ in range(200):
             ast = _random_ast(rng, names, 3)
-            if not isinstance(ast, (Rel, And)):
+            if not (isinstance(ast, BinOp) and ast.op in ("<=", ">=", "<", ">", "and")):
                 continue
             try:
                 vals = evaluate_batch(ast, pts)

@@ -13,9 +13,10 @@ from rejmc import (
     TargetSpec,
     VarOrder,
     build_piecewise_proposal,
+    grmc_sample,
     validate_target,
 )
-from rejmc import model
+from rejmc import model, samplers
 from rejmc.model import box_from_text
 from rejmc.randomness import RandomStream, uniform_box_block
 from conftest import GAUSS_MAX, GAUSS_C_LOOSE
@@ -144,13 +145,21 @@ class TestPiecewiseProposal:
         prop = build_piecewise_proposal(field, Box([(0, 1)]), 8)
         assert np.all(prop.heights == 1.2)
 
-    def test_zero_cells_never_proposed(self):
+    def test_zero_cells_never_proposed(self, monkeypatch):
         field = ScalarField.from_text("(x >= 0.5)", VarOrder(["x"]))
         prop = build_piecewise_proposal(field, Box([(0, 1)]), 4)
         heights = prop.heights.ravel()
         assert heights[0] == 0.0
         assert np.all(heights[2:] == 1.2)
-        assert 0 not in prop.positive_cells.tolist()
+        # the lowest selector value skips the zero-mass first cell
+        assert np.searchsorted(prop.cumulative, 0.0, side="right") == 1
+        # grmc_sample hands _run_chunked its propose-and-test closure: every
+        # proposal, accepted or not, lies outside the zero-height cell
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        propose = grmc_sample(field, prop, 1, 1)
+        pts, _ = propose(RandomStream(3), 100_000)
+        assert pts.shape == (100_000, 1)
+        assert np.all(pts[:, 0] >= 0.25)
 
     @pytest.mark.parametrize("bins_seq", [[(4,), (8,), (16,)], [(3,), (6,), (12,)]])
     def test_mass_monotone_under_refinement_1d(self, sine_field, sine_box, bins_seq):

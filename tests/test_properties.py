@@ -23,7 +23,7 @@ import rejmc.cli as cli
 import rejmc.expression as expression
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
 from rejmc import ParseError, parse, samplers, srmc_sample, svgplot, validate_target
-from rejmc.expression import And, BinOp, Call, Const, Grid, Neg, Num, Rel, Var
+from rejmc.expression import BinOp, Call, Const, Grid, Neg, Num, Var
 from rejmc.expression import evaluate_batch, to_text
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, scale_to_box
 
@@ -78,12 +78,13 @@ def test_column_major_points_evaluate_bit_for_bit(d, n, seed):
 
 NAMES = ("x", "y", "z")
 FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "min", "max"]
+COMPARISONS = ["<=", ">=", "<", ">"]
 
 
 def asts(d: int):
     """Expression trees over the first d of x, y, z, in the form parse
-    gives: literals are nonnegative (a sign is a Neg), and the terms of an
-    'and' are comparisons (parse flattens a nested 'and')."""
+    gives: literals are nonnegative (a sign is a Neg), and each operand of
+    an 'and' is a comparison or an 'and', nested on either side."""
     leaves = st.one_of(
         st.builds(Num, st.floats(0.0, 1e6) | st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
         st.builds(Const, st.sampled_from(["pi", "e"])),
@@ -91,7 +92,8 @@ def asts(d: int):
     )
 
     def extend(sub):
-        rel = st.builds(Rel, st.sampled_from(["<=", ">=", "<", ">"]), sub, sub)
+        rel = st.builds(BinOp, st.sampled_from(COMPARISONS), sub, sub)
+        conj = rel | st.builds(BinOp, st.just("and"), rel, rel)
         call = st.sampled_from(FUNCS).flatmap(
             lambda f: st.tuples(*[sub] * (2 if f in ("min", "max") else 1)).map(
                 lambda args: Call(f, args)
@@ -102,7 +104,7 @@ def asts(d: int):
             st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
             call,
             rel,
-            st.lists(rel, min_size=2, max_size=3).map(lambda terms: And(tuple(terms))),
+            st.builds(BinOp, st.just("and"), conj, conj),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -198,6 +200,17 @@ def reference_eval(node, cols):
         case BinOp(op=op, left=left, right=right):
             a = reference_eval(left, cols)
             b = reference_eval(right, cols)
+            if op in COMPARISONS:
+                # a NaN compares false; the comparison refuses it instead
+                for value, operand in ((a, left), (b, right)):
+                    if np.any(np.isnan(value)):
+                        raise EvalError("evaluation produced NaN", operand)
+                cmp = {"<=": np.less_equal, ">=": np.greater_equal, "<": np.less, ">": np.greater}[
+                    op
+                ](a, b)
+                return np.multiply(cmp, 1.0)
+            if op == "and":
+                return a * b
             if op == "+":
                 return a + b
             if op == "-":
@@ -231,18 +244,6 @@ def reference_eval(node, cols):
             return {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "abs": np.abs}[
                 func
             ](vals[0])
-        case Rel(op=op, left=left, right=right):
-            a = reference_eval(left, cols)
-            b = reference_eval(right, cols)
-            cmp = {"<=": np.less_equal, ">=": np.greater_equal, "<": np.less, ">": np.greater}[
-                op
-            ](a, b)
-            return np.multiply(cmp, 1.0)
-        case And(terms=terms):
-            out = reference_eval(terms[0], cols)
-            for term in terms[1:]:
-                out = out * reference_eval(term, cols)
-            return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -290,6 +291,9 @@ def _rows(text, *rows):
 @example(_rows("exp(x) - exp(x)", [1e300]))
 @example(_rows("min(x, y) + max(x <= y, y > x) * abs(x) + tan(pi) / e", [-0.0, 0.0], [1e300, -1e300]))
 @example(_rows("x < 1 and y >= 0 and x > y", [0.5, 0.25], [2.0, -1.0]))
+@example(_rows("x < 1 and (y >= 0 and x > y)", [0.5, 0.25], [2.0, -1.0]))
+@example(_rows("exp(x) - exp(x) < 1 and sin(exp(y)) >= 0", [1000.0, 1.0], [0.0, 1000.0]))
+@example(_rows("x < 1 and sin(exp(y)) >= min(exp(x) - exp(x), 1)", [0.0, 1000.0], [1000.0, 0.0]))
 def test_evaluator_equals_frozen_reference(case):
     ast, cols = case
     assert eval_outcome(lambda c: expression._eval(ast, c), cols) == eval_outcome(
