@@ -38,5 +38,5 @@ print("\ntheoretical correlation: +0.2000")
 # Scatter plot of the last batch, in the style of a printed figure:
 # fixed 800x800 viewport, radius-1 dots, box bounds on the axes.
 out = Path("gaussian_scatter.svg")
-out.write_text(scatter_svg(batch.points, box, ("x", "y")))
+out.write_bytes(b"".join(scatter_svg(batch.points, box, ("x", "y"))))
 print(f"wrote {out} ({batch.meta.accepted} points)")

@@ -156,9 +156,10 @@ def _parse_model_args(args):
     return variables, box
 
 
-def _write_text(path: str, *pieces: str) -> None:
+def _write_file(path: str, pieces: list[bytes]) -> None:
+    """Write the byte pieces to path in order, with no newline translation."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc}") from None
@@ -176,12 +177,13 @@ def _write_record(args, seed: int, seed_text: str, **results) -> None:
         "seed": seed,
         **results,
     }
-    _write_text(args.meta, json.dumps(record, indent=2) + "\n")
+    # json.dumps escapes every non-ASCII character
+    _write_file(args.meta, [(json.dumps(record, indent=2) + "\n").encode("ascii")])
 
 
 def _write_csv(path: str, names, points: np.ndarray) -> None:
-    # each value as repr(float) spells it
-    _write_text(path, ",".join(names) + "\n", csv_rows(points))
+    # each value as repr(float) spells it; VarOrder names are ASCII identifiers
+    _write_file(path, [(",".join(names) + "\n").encode("ascii"), *csv_rows(points)])
 
 
 def _sampling_results(meta: RunMetadata) -> dict:
@@ -233,7 +235,7 @@ def _cmd_sample(args) -> int:
     meta = batch.meta
     _write_record(args, seed, seed_text, **_sampling_results(meta))
     if args.plot is not None:
-        _write_text(args.plot, scatter_svg(batch.points, box, variables.names[:2]))
+        _write_file(args.plot, scatter_svg(batch.points, box, variables.names[:2]))
     print(
         f"accepted {meta.accepted} of {meta.proposals_drawn} proposals "
         f"(rate {meta.acceptance_rate:.6g}) -> {args.csv}"

@@ -29,7 +29,8 @@ ASTs are immutable after parse; evaluation is pure and reentrant. Domain
 faults (division by zero, zero to a negative power, log of a nonpositive
 value, sqrt of a negative value, a negative base with a non-integer
 exponent, or anything else that would produce NaN, even where a comparison
-would turn it into 0.0) raise EvalError instead of propagating NaN.
+would turn it into 0.0, or a power into 1.0) raise EvalError instead of
+propagating NaN.
 """
 from __future__ import annotations
 
@@ -354,6 +355,11 @@ def free_vars(node: Node) -> set[str]:
     return out
 
 
+def _refuse_nan(value, operand: Node) -> None:
+    if np.any(np.isnan(value)):
+        raise EvalError("evaluation produced NaN", operand)
+
+
 def _eval(node: Node, cols: Sequence[np.ndarray]):
     match node:
         case Num(value=v):
@@ -369,10 +375,18 @@ def _eval(node: Node, cols: Sequence[np.ndarray]):
             if _PREC[op] == _PREC["<"]:
                 # a NaN compares false, so it would vanish from the result
                 for arg, operand in zip(args, (left, right)):
-                    if np.any(np.isnan(arg)):
-                        raise EvalError("evaluation produced NaN", operand)
+                    _refuse_nan(arg, operand)
                 # a comparison yields exactly 1.0 or 0.0
                 return np.multiply(_UFUNCS[op](*args), 1.0)
+            if op == "^":
+                # NaN^0 and 1^NaN are 1.0, so an operand that may meet a zero
+                # exponent or a base of 1 is checked first; a scalar needs no
+                # array pass, so x^2 costs one O(1) test
+                base, exponent = args
+                if not (np.ndim(exponent) == 0 and exponent != 0.0):
+                    _refuse_nan(base, left)
+                if not (np.ndim(base) == 0 and base != 1.0):
+                    _refuse_nan(exponent, right)
         case Call(func=op, args=nodes):
             args = [_eval(arg, cols) for arg in nodes]
         case _:
@@ -382,6 +396,9 @@ def _eval(node: Node, cols: Sequence[np.ndarray]):
         raise EvalError(fault[1], node)
     out = _UFUNCS[op](*args)
     if op == "^" and np.any(np.isnan(out)):
+        # a NaN operand that the power passed on, else a negative base
+        for arg, operand in zip(args, (left, right)):
+            _refuse_nan(arg, operand)
         raise EvalError("negative base with non-integer exponent", node)
     return out
 

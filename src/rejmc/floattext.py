@@ -7,7 +7,9 @@ a uint8 matrix, beside a keep-mask of the same shape; the text is the kept
 bytes in row order. Values outside a kernel's range (zero, subnormals,
 non-finite, very small or very large magnitudes) are spelled by ``repr`` or
 ``%`` one at a time into the same matrix, so every input gives the bytes of
-the per-value formatting.
+the per-value formatting. Both return the text as a list of ASCII blocks
+of BLOCK_ROWS rows each, in order, for a binary file's ``writelines``: no
+whole-file string is built.
 
 The shortest digits are those of Schubfach (R. Giulietti, "The Schubfach way
 to render doubles", 2020), with 64x64->128-bit products built from 32-bit
@@ -249,19 +251,18 @@ def _lines(rows: int, *pieces) -> bytes:
     return chars[keep].tobytes()
 
 
-def _blockwise(block_text, rows: int) -> str:
+def _blockwise(block_text, rows: int) -> list[bytes]:
     """block_text(slice) for consecutive slices of BLOCK_ROWS rows, run
-    through ordered_map and joined in order."""
-    blocks = ordered_map(
-        lambda i: block_text(slice(i * BLOCK_ROWS, (i + 1) * BLOCK_ROWS)).decode("ascii"),
+    through ordered_map: the blocks in order, as a file takes them."""
+    return ordered_map(
+        lambda i: block_text(slice(i * BLOCK_ROWS, (i + 1) * BLOCK_ROWS)),
         -(-rows // BLOCK_ROWS),
     )
-    return "".join(blocks)
 
 
-def csv_rows(points: np.ndarray) -> str:
+def csv_rows(points: np.ndarray) -> list[bytes]:
     """Each row of a 2-D array as its values' repr joined by ",", ended by
-    a newline."""
+    a newline, in ASCII blocks of BLOCK_ROWS rows."""
 
     def block_text(rows: slice) -> bytes:
         block = points[rows]
@@ -272,8 +273,9 @@ def csv_rows(points: np.ndarray) -> str:
     return _blockwise(block_text, len(points))
 
 
-def svg_circles(px: np.ndarray, py: np.ndarray) -> str:
-    """'<circle cx="%.2f" cy="%.2f" r="1"/>' and a newline per (x, y) pair."""
+def svg_circles(px: np.ndarray, py: np.ndarray) -> list[bytes]:
+    """'<circle cx="%.2f" cy="%.2f" r="1"/>' and a newline per (x, y) pair,
+    in ASCII blocks of BLOCK_ROWS pairs."""
 
     def block_text(rows: slice) -> bytes:
         cx, cy = _Fixed2(px[rows]), _Fixed2(py[rows])

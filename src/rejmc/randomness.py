@@ -91,8 +91,9 @@ class RandomStream:
         words = out.view(np.uint64)
         self.next_u64_block(count, words)
         words >>= 11
-        # each word is now below 2^53, so the cast to float64 is exact
-        np.copyto(out, words, casting="unsafe")
+        # each word is now below 2^53, so it reads the same as int64, whose
+        # cast to float64 is cheaper than uint64's, and the cast is exact
+        np.copyto(out, words.view(np.int64), casting="unsafe")
         out *= _UNIT_53
         return out
 

@@ -1,7 +1,8 @@
 """Dependency-free SVG scatter plots of 2-D sample batches.
 
 Fixed 800x800 viewport, radius-1 circles, axes labeled with the box bounds.
-Output is deterministic byte for byte for a given batch.
+Output is deterministic byte for byte for a given batch, and comes as a list
+of byte blocks that a binary file takes in order.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def scatter_svg(points: np.ndarray, box: Box, names: tuple[str, str]) -> str:
+def scatter_svg(points: np.ndarray, box: Box, names: tuple[str, str]) -> list[bytes]:
     if box.dims != 2:
         raise ValueError("scatter plots need a 2-D box")
     pts = np.asarray(points, dtype=np.float64)
@@ -47,4 +48,6 @@ def scatter_svg(points: np.ndarray, box: Box, names: tuple[str, str]) -> str:
         f'text-anchor="middle" transform="rotate(-90 {_MARGIN - 40} {_VIEW // 2})">'
         f"{names[1]}</text>",
     ]
-    return "\n".join(lines) + "\n" + svg_circles(px, py) + "</svg>\n"
+    # XML without a declaration is UTF-8
+    header = ("\n".join(lines) + "\n").encode("utf-8")
+    return [header, *svg_circles(px, py), b"</svg>\n"]

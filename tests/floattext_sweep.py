@@ -52,8 +52,8 @@ def main() -> int:
     checked = {"repr": 0, "%.2f": 0}
     for _ in range(millions):
         x = chunk(rng, CHUNK)
-        want = "".join(repr(v) + "\n" for v in x.tolist())
-        if csv_rows(x.reshape(-1, 1)) != want:
+        want = "".join(repr(v) + "\n" for v in x.tolist()).encode()
+        if b"".join(csv_rows(x.reshape(-1, 1))) != want:
             print("repr: a value differs in this chunk")
             return 1
         checked["repr"] += len(x)
@@ -61,8 +61,9 @@ def main() -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.where(rng.random(len(x)) < 0.5, x * 100, x)
         y[::4] = rng.integers(-(2**45), 2**45, len(y[::4])) / 8
-        want = "".join('<circle cx="%.2f" cy="%.2f" r="1"/>\n' % p for p in zip(y.tolist(), x.tolist()))
-        if svg_circles(y, x) != want:
+        pairs = zip(y.tolist(), x.tolist())
+        want = "".join('<circle cx="%.2f" cy="%.2f" r="1"/>\n' % p for p in pairs).encode()
+        if b"".join(svg_circles(y, x)) != want:
             print("%.2f: a value differs in this chunk")
             return 1
         checked["%.2f"] += 2 * len(x)

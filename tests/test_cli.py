@@ -64,6 +64,16 @@ class TestSample:
         assert "rejmc: evaluation produced NaN" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_nan_base_of_power_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # sin(inf) is NaN for x > 0.71; NaN^0 is 1.0, so the density read 1 there
+        args = [
+            "sample", "--density", "sin(exp(1000*x))^0", "--vars", "x", "--box", "0:1",
+            "--n", "1000", "--seed", "1",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        assert "rejmc: evaluation produced NaN" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_csv_and_metadata(self, tmp_path, monkeypatch):
         assert run(sample_args(), tmp_path, monkeypatch) == 0
         lines = (tmp_path / "samples.csv").read_text().splitlines()

@@ -207,6 +207,24 @@ class TestErrors:
             evaluate_batch(ast, np.array([[0.5], [1.0]]))
         assert to_text(err.value.node) == operand
 
+    @pytest.mark.parametrize(
+        "text,operand",
+        [
+            ("(exp(1000)-exp(1000))^0", "exp(1000.0) - exp(1000.0)"),
+            ("1^(exp(1000)-exp(1000))", "exp(1000.0) - exp(1000.0)"),
+            ("(exp(1000)-exp(1000))^2", "exp(1000.0) - exp(1000.0)"),
+            ("sin(exp(1000*x))^x", "sin(exp(1000.0 * x))"),
+            ("x^sin(exp(1000*x))", "sin(exp(1000.0 * x))"),
+            ("sin(exp(1000*x))^2", "sin(exp(1000.0 * x))"),
+        ],
+    )
+    def test_nan_operand_of_power_raises(self, text, operand):
+        # NaN^0 and 1^NaN are 1.0, and NaN^2 is not a negative base
+        ast = parse(text, ["x"])
+        with pytest.raises(EvalError, match="evaluation produced NaN") as err:
+            evaluate_batch(ast, np.array([[0.5], [1.0]]))
+        assert to_text(err.value.node) == operand
+
     def test_nan_never_silently_returned(self):
         # inf - inf is not on the named fault list but must still raise
         ast = parse("exp(x) - exp(x + 0*x)", ["x"])

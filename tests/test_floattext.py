@@ -16,12 +16,12 @@ ROWS = 2 * BLOCK_ROWS + 3
 EDGES = [0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, ROWS - 1]
 
 
-def per_value_csv(points) -> str:
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+def per_value_csv(points) -> bytes:
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points).encode()
 
 
-def per_value_circles(px, py) -> str:
-    return "".join('<circle cx="%.2f" cy="%.2f" r="1"/>\n' % xy for xy in zip(px, py))
+def per_value_circles(px, py) -> bytes:
+    return "".join('<circle cx="%.2f" cy="%.2f" r="1"/>\n' % xy for xy in zip(px, py)).encode()
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,10 @@ def points():
 
 
 def test_csv_across_blocks_equals_per_value_repr(points):
-    assert csv_rows(points) == per_value_csv(points)
+    blocks = csv_rows(points)
+    assert len(blocks) == -(-ROWS // BLOCK_ROWS)
+    assert all(type(block) is bytes for block in blocks)
+    assert b"".join(blocks) == per_value_csv(points)
 
 
 def test_svg_across_blocks_equals_per_value_format(points):
@@ -43,7 +46,7 @@ def test_svg_across_blocks_equals_per_value_format(points):
     px = points[:, 0] * 400 + 400
     py = points[:, 1] * 400 + 400
     px[EDGES[1]], py[EDGES[2]], px[EDGES[4]] = 2.0**40, -1e300, math.nan
-    assert svg_circles(px, py) == per_value_circles(px, py)
+    assert b"".join(svg_circles(px, py)) == per_value_circles(px, py)
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])
@@ -78,7 +81,7 @@ def test_files_do_not_depend_on_thread_count(points, tmp_path, monkeypatch, thre
 )
 def test_csv_examples(value, text):
     assert repr(value) == text
-    assert csv_rows(np.array([[value]])) == text + "\n"
+    assert b"".join(csv_rows(np.array([[value]]))) == (text + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -108,19 +111,19 @@ def test_csv_examples(value, text):
 )
 def test_svg_examples(value, text):
     assert "%.2f" % value == text
-    got = svg_circles(np.array([value]), np.array([0.5]))
-    assert got == f'<circle cx="{text}" cy="0.50" r="1"/>\n'
+    got = b"".join(svg_circles(np.array([value]), np.array([0.5])))
+    assert got == f'<circle cx="{text}" cy="0.50" r="1"/>\n'.encode()
 
 
 def test_csv_random_bit_patterns_equal_repr():
     bits = np.random.default_rng(12).integers(0, 2**64, 20_000, dtype=np.uint64)
     values = bits.view(np.float64)
     values = values[~np.isnan(values)].reshape(-1, 1)
-    assert csv_rows(values) == per_value_csv(values)
+    assert b"".join(csv_rows(values)) == per_value_csv(values)
 
 
 def test_csv_log_uniform_values_equal_repr():
     rng = np.random.default_rng(13)
     values = np.ldexp(rng.random(60_000) + 0.5, rng.integers(-16, 56, 60_000))
     values = (values * rng.choice([-1.0, 1.0], 60_000)).reshape(-1, 3)
-    assert csv_rows(values) == per_value_csv(values)
+    assert b"".join(csv_rows(values)) == per_value_csv(values)

@@ -221,10 +221,21 @@ def reference_eval(node, cols):
                 if np.any(b == 0.0):
                     raise EvalError("division by zero", node)
                 return a / b
+            # NaN^0 and 1^NaN are 1.0: refuse a NaN base unless the exponent
+            # is a nonzero scalar, and a NaN exponent unless the base is a
+            # scalar other than 1
+            if not (np.ndim(b) == 0 and b != 0.0) and np.any(np.isnan(a)):
+                raise EvalError("evaluation produced NaN", left)
+            if not (np.ndim(a) == 0 and a != 1.0) and np.any(np.isnan(b)):
+                raise EvalError("evaluation produced NaN", right)
             if np.any((a == 0.0) & (b < 0.0)):
                 raise EvalError("zero raised to a negative power", node)
             out = np.power(a, b)
             if np.any(np.isnan(out)):
+                if np.any(np.isnan(a)):
+                    raise EvalError("evaluation produced NaN", left)
+                if np.any(np.isnan(b)):
+                    raise EvalError("evaluation produced NaN", right)
                 raise EvalError("negative base with non-integer exponent", node)
             return out
         case Call(func=func, args=args):
@@ -404,7 +415,7 @@ def test_scatter_svg_body_matches_fstrings(lo, width, u):
     box = Box([(lo, lo + width), (-lo, -lo + 2 * width)])
     # points inside the box and a little outside it
     points = box.lower + (u * 1.2 - 0.1) * box.widths
-    lines = svgplot.scatter_svg(points, box, ("x", "y")).splitlines()
+    lines = b"".join(svgplot.scatter_svg(points, box, ("x", "y"))).decode().splitlines()
     assert lines[-1] == "</svg>"
     assert lines[-1 - len(points) : -1] == old_circles(points, box)
 

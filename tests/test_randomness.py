@@ -81,6 +81,27 @@ def test_uniform01_scalar_matches_block():
     assert [a.uniform01() for _ in range(10)] == list(b.uniform01_block(10))
 
 
+def test_uniform01_block_equals_uint64_cast_bit_for_bit():
+    # the block casts the shifted words as int64; words at and above 2^63
+    # before the shift must give the bits of the uint64 cast
+    words = np.concatenate(
+        [
+            np.array([0, 1 << 11, (1 << 63) - 1, 1 << 63, 2**64 - 2048, 2**64 - 1], np.uint64),
+            RandomStream(8).next_u64_block(4096),
+        ]
+    )
+    assert np.count_nonzero(words >= np.uint64(1 << 63)) > 1000
+
+    class Replay(RandomStream):
+        def next_u64_block(self, count, out=None):
+            out[:] = words
+            return out
+
+    got = Replay(0).uniform01_block(len(words))
+    want = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_uniform01_chi_square_uniformity():
     draws = RandomStream(31337).uniform01_block(100_000)
     counts, _ = np.histogram(draws, bins=100, range=(0.0, 1.0))
