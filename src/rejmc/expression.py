@@ -31,13 +31,24 @@ value, sqrt of a negative value, a negative base with a non-integer
 exponent, or anything else that would produce NaN, even where a comparison
 would turn it into 0.0, or a power into 1.0) raise EvalError instead of
 propagating NaN.
+
+compile_node turns an AST into its evaluator once (ScalarField does so
+once per field), and evaluate_batch runs it on each batch. The evaluator
+gives the bits and the errors of evaluating node by node, in the same
+order, and saves work three ways: a subtree that reads no variable and
+cannot fault is folded to its numpy scalar; a fault or NaN test that a
+constant operand rules out is dropped; and a node writes its result into
+an operand's array when a node made that array during this evaluation and
+it has the result's shape, never into the caller's points, a Grid column
+or a constant.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +58,7 @@ __all__ = [
     "EvalError",
     "parse",
     "evaluate_batch",
+    "compile_node",
     "Grid",
     "free_vars",
     "to_text",
@@ -83,13 +95,14 @@ _UFUNCS = {
     "max": np.maximum,
 }
 FUNCTION_ARITY = {n: f.nin for n, f in _UFUNCS.items() if n.isidentifier() and n != "and"}
-# operands a name refuses before its ufunc runs; kept in step with the
-# domain faults listed in the module docstring
+# operands a name refuses before its ufunc runs: a point where the test of
+# each operand holds (None: any value does); kept in step with the domain
+# faults listed in the module docstring
 _FAULTS = {
-    "/": (lambda a, b: b == 0.0, "division by zero"),
-    "^": (lambda a, b: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
-    "log": (lambda a: a <= 0.0, "log of a nonpositive value"),
-    "sqrt": (lambda a: a < 0.0, "sqrt of a negative value"),
+    "/": ((None, lambda b: b == 0.0), "division by zero"),
+    "^": ((lambda a: a == 0.0, lambda b: b < 0.0), "zero raised to a negative power"),
+    "log": ((lambda a: a <= 0.0,), "log of a nonpositive value"),
+    "sqrt": ((lambda a: a < 0.0,), "sqrt of a negative value"),
 }
 _KEYWORDS = {"and"} | set(CONSTANTS) | set(FUNCTION_ARITY)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -117,39 +130,94 @@ class VarOrder:
         return len(self.names)
 
 
+class _Node:
+    """Structural ==, hash and repr, as a dataclass would generate them, but
+    walking the tree with a stack: a tree MAX_DEPTH levels deep would pass
+    Python's recursion limit through the generated ones."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(_preorder(self)) == tuple(_preorder(other))
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        # a stack of (True, text to emit) and (False, value to render)
+        parts, stack = [], [(False, self)]
+        while stack:
+            is_text, item = stack.pop()
+            if is_text:
+                parts.append(item)
+            elif isinstance(item, (_Node, tuple)):
+                if isinstance(item, _Node):
+                    opened, fields = f"{type(item).__name__}(", vars(item).items()
+                    closed = ")"
+                else:
+                    opened, fields = "(", (("", x) for x in item)
+                    closed = ",)" if len(item) == 1 else ")"
+                pending = [(True, opened)]
+                for i, (name, value) in enumerate(fields):
+                    pending += [(True, (", " if i else "") + (name and name + "=")), (False, value)]
+                stack += reversed(pending + [(True, closed)])
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
+
+
+def _preorder(node: "_Node"):
+    """Each node's class, then its fields in order, with a tuple given as
+    its length and then its items: two trees are equal exactly when these
+    sequences are."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Node):
+            yield type(item)
+            stack += reversed(vars(item).values())
+        elif isinstance(item, tuple):
+            yield len(item)
+            stack += reversed(item)
+        else:
+            yield item
+
+
 # AST node kinds. All frozen; an AST never changes after parse.
 
 
-@dataclass(frozen=True)
-class Num:
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
     index: int
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
     op: str  # a key of _PREC: + - * / ^ <= >= < > and
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     args: tuple["Node", ...]
 
@@ -187,8 +255,10 @@ _TOKEN_RE = re.compile(
 # at _NEG, between "/" and "^"
 _PREC = {"and": 1, "<=": 2, ">=": 2, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 6}
 _NEG = 5
-# levels of nesting parse accepts; the parser, _eval and _render recurse at
-# most three times per level, well inside Python's default limit of 1000
+_COMPARISONS = {op for op, prec in _PREC.items() if prec == _PREC["<"]}
+# levels of nesting parse accepts; the parser, _compile, the evaluator it
+# builds and _render recurse at most three times per level, well inside
+# Python's default limit of 1000
 MAX_DEPTH = 256
 
 
@@ -355,52 +425,197 @@ def free_vars(node: Node) -> set[str]:
     return out
 
 
+def _has_nan(value) -> bool:
+    # one NaN makes the maximum NaN, and values without NaN have a number as
+    # their maximum: one pass, and no temporary array
+    if value.size == 0:
+        return False
+    top = np.maximum.reduce(value, axis=None)
+    return top != top
+
+
 def _refuse_nan(value, operand: Node) -> None:
-    if np.any(np.isnan(value)):
+    if _has_nan(value):
         raise EvalError("evaluation produced NaN", operand)
 
 
-def _eval(node: Node, cols: Sequence[np.ndarray]):
+def _always(*args) -> bool:
+    return True
+
+
+def _nan_check(k: int, operand: Node, value):
+    """The check that refuses a NaN in operand k, settled now when the
+    operand is a constant; None when it cannot fire."""
+    if value is None:
+        return (lambda *args: _has_nan(args[k])), "evaluation produced NaN", operand
+    return (_always, "evaluation produced NaN", operand) if np.isnan(value) else None
+
+
+def _fault_check(op: str, node: Node, values: list):
+    """op's domain-fault check (see _FAULTS), with the part of each constant
+    operand settled now; None when it cannot fire."""
+    if op not in _FAULTS:
+        return None
+    tests, message = _FAULTS[op]
+    live = []
+    for k, (test, value) in enumerate(zip(tests, values)):
+        if test is None:
+            continue
+        if value is None:
+            live.append((k, test))
+        elif not test(value):
+            return None
+    if not live:
+        return _always, message, node
+    if len(live) == 1:
+        [(k, test)] = live
+        return (lambda *args: test(args[k]).any()), message, node
+    [(_, test_a), (_, test_b)] = live
+    return (lambda a, b: (test_a(a) & test_b(b)).any()), message, node
+
+
+def _spare(owned: list[bool], values: list):
+    """spare(a, b): the operand array a binary node writes its result into,
+    or None for a fresh one. An operand qualifies only if a node made it
+    during this evaluation (not a caller's column, not a constant) and it
+    already has the result's shape."""
+    if values[0] is not None or values[1] is not None:
+        # a constant is a scalar, so an array operand has the result's shape
+        if owned[0]:
+            return lambda a, b: a
+        if owned[1]:
+            return lambda a, b: b
+    if not any(owned) or values[0] is not None or values[1] is not None:
+        return lambda a, b: None
+
+    def spare(a, b):
+        # rows all have one shape; grid terms broadcast to a larger one
+        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+        if owned[0] and a.shape == shape:
+            return a
+        if owned[1] and b.shape == shape:
+            return b
+        return None
+
+    return spare
+
+
+def _operation(node: Node, op: str, operands: Sequence[Node], codes: list):
+    """run(cols) for a node that applies op to its operands' values: it
+    runs the operands' code in order, then op's checks in their fixed order,
+    less those that a constant operand rules out; then op's ufunc, into a
+    spare operand array when there is one."""
+    fetch = [run for run, _ in codes]
+    values = [value for _, value in codes]
+    owned = [v is None and not isinstance(x, Var) for x, v in zip(operands, values)]
+    ufunc = np.negative if isinstance(node, Neg) else _UFUNCS[op]
+    checks = []
+    if op in _COMPARISONS:
+        # a NaN compares false, so it would vanish from the result
+        checks = [_nan_check(k, x, v) for k, (x, v) in enumerate(zip(operands, values))]
+    elif op == "^":
+        # NaN^0 and 1^NaN are 1.0, so an operand that may meet a zero
+        # exponent or a base of 1 is checked first
+        base, exponent = values
+        if exponent is None or exponent == 0.0:
+            checks.append(_nan_check(0, operands[0], base))
+        if base is None or base == 1.0:
+            checks.append(_nan_check(1, operands[1], exponent))
+    checks.append(_fault_check(op, node, values))
+    checks = [check for check in checks if check is not None]
+
+    if len(codes) == 1:
+        [fetch_a] = fetch
+
+        def run(cols):
+            a = fetch_a(cols)
+            for test, message, culprit in checks:
+                if test(a):
+                    raise EvalError(message, culprit)
+            return ufunc(a, out=a if owned[0] else None)
+
+        return run
+
+    fetch_a, fetch_b = fetch
+    compare, power = op in _COMPARISONS, op == "^"
+    # the power writes a fresh array: in place over one element, numpy's
+    # power takes a faster path with other bits for an exponent of 0.5, 2
+    # or -1, and a result that holds a NaN is explained from its operands
+    spare = (lambda a, b: None) if power else _spare(owned, values)
+
+    def run(cols):
+        a = fetch_a(cols)
+        b = fetch_b(cols)
+        for test, message, culprit in checks:
+            if test(a, b):
+                raise EvalError(message, culprit)
+        out = spare(a, b)
+        if compare:
+            # exactly 1.0 or 0.0: the booleans, cast to float64
+            return np.multiply(ufunc(a, b), 1.0) if out is None else ufunc(a, b, out=out)
+        out = ufunc(a, b, out=out)
+        if power and _has_nan(out):
+            # a NaN operand that the power passed on, else a negative base
+            _refuse_nan(a, operands[0])
+            _refuse_nan(b, operands[1])
+            raise EvalError("negative base with non-integer exponent", node)
+        return out
+
+    return run
+
+
+def _compile(node: Node):
+    """(run, value): run(cols) returns node's value at the columns cols, one
+    array per variable, which broadcast against each other; value is that
+    value as a numpy scalar if node reads no variable and evaluates without
+    a fault (folded here, once), else None."""
     match node:
         case Num(value=v):
-            return np.float64(v)
+            return _constant(np.float64(v))
         case Const(name=name):
-            return np.float64(CONSTANTS[name])
+            return _constant(np.float64(CONSTANTS[name]))
         case Var(index=index):
-            return cols[index]
+            return operator.itemgetter(index), None
         case Neg(operand=operand):
-            return -_eval(operand, cols)
+            op, operands = "neg", (operand,)
         case BinOp(op=op, left=left, right=right):
-            args = (_eval(left, cols), _eval(right, cols))
-            if _PREC[op] == _PREC["<"]:
-                # a NaN compares false, so it would vanish from the result
-                for arg, operand in zip(args, (left, right)):
-                    _refuse_nan(arg, operand)
-                # a comparison yields exactly 1.0 or 0.0
-                return np.multiply(_UFUNCS[op](*args), 1.0)
-            if op == "^":
-                # NaN^0 and 1^NaN are 1.0, so an operand that may meet a zero
-                # exponent or a base of 1 is checked first; a scalar needs no
-                # array pass, so x^2 costs one O(1) test
-                base, exponent = args
-                if not (np.ndim(exponent) == 0 and exponent != 0.0):
-                    _refuse_nan(base, left)
-                if not (np.ndim(base) == 0 and base != 1.0):
-                    _refuse_nan(exponent, right)
-        case Call(func=op, args=nodes):
-            args = [_eval(arg, cols) for arg in nodes]
+            operands = (left, right)
+        case Call(func=op, args=operands):
+            pass
         case _:
             raise TypeError(f"not an expression node: {node!r}")
-    fault = _FAULTS.get(op)
-    if fault is not None and np.any(fault[0](*args)):
-        raise EvalError(fault[1], node)
-    out = _UFUNCS[op](*args)
-    if op == "^" and np.any(np.isnan(out)):
-        # a NaN operand that the power passed on, else a negative base
-        for arg, operand in zip(args, (left, right)):
-            _refuse_nan(arg, operand)
-        raise EvalError("negative base with non-integer exponent", node)
-    return out
+    codes = []
+    for operand in operands:
+        codes.append(_compile(operand))
+    run = _operation(node, op, operands, codes)
+    if any(value is None for _, value in codes):
+        return run, None
+    try:
+        with np.errstate(all="ignore"):
+            value = run(None)
+    except EvalError:
+        # it faults at every evaluation, once its place in the order comes
+        return run, None
+    return _constant(value)
+
+
+def _constant(value):
+    return (lambda cols: value), value
+
+
+def compile_node(node: Node):
+    """The evaluator of node: a function of the columns (one array per
+    variable, broadcasting against each other) that returns node's values,
+    raises EvalError on any domain fault and never returns NaN. Pass it to
+    evaluate_batch in place of node to compile once for many batches."""
+    run, _ = _compile(node)
+
+    def evaluate(cols):
+        out = run(cols)
+        _refuse_nan(out, node)
+        return out
+
+    return evaluate
 
 
 class Grid:
@@ -429,11 +644,12 @@ class Grid:
         return math.prod(self.shape)
 
 
-def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
-    """Evaluate at each row of ``points`` (shape (n, d)), returning shape
-    (n,), or at each point of a Grid, returning shape ``grid.shape``. The
-    result is C-contiguous and holds, bit for bit, the values of the same
-    points given as rows.
+def evaluate_batch(expr: Node | Callable, points: np.ndarray | Grid) -> np.ndarray:
+    """Evaluate ``expr``, a node or its compile_node evaluator, at each row
+    of ``points`` (shape (n, d)), returning shape (n,), or at each point of
+    a Grid, returning shape ``grid.shape``. The result is C-contiguous and
+    holds, bit for bit, the values of the same points given as rows. A node
+    is compiled on the spot.
 
     Raises EvalError on any domain fault; never returns NaN.
     """
@@ -444,11 +660,9 @@ def evaluate_batch(node: Node, points: np.ndarray | Grid) -> np.ndarray:
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-D matrix, got shape {pts.shape}")
         shape, cols = pts.shape[:1], [pts[:, i] for i in range(pts.shape[1])]
+    evaluate = expr if callable(expr) else compile_node(expr)
     with np.errstate(all="ignore"):
-        out = _eval(node, cols)
-    if np.any(np.isnan(out)):
-        raise EvalError("evaluation produced NaN", node)
-    out = np.asarray(out, dtype=np.float64)
+        out = np.asarray(evaluate(cols), dtype=np.float64)
     if out.shape != shape:
         # a constant, or a grid expression that omits a variable; copy, as
         # ascontiguousarray would return a read-only view when one point

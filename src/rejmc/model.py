@@ -15,10 +15,11 @@ slabs and refuses a grid of more than 2^28 points before evaluating any.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,11 +149,14 @@ class ScalarField:
 
     expr: Node
     vars: VarOrder
+    # expr's evaluator, compiled once per field (see expression.compile_node)
+    _evaluate: Callable = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         loose = expression.free_vars(self.expr) - set(self.vars.names)
         if loose:
             raise ValueError(f"expression uses undeclared variables: {sorted(loose)}")
+        object.__setattr__(self, "_evaluate", expression.compile_node(self.expr))
 
     @classmethod
     def from_text(cls, text: str, variables: VarOrder | Sequence[str]) -> "ScalarField":
@@ -164,7 +168,11 @@ class ScalarField:
         return self.vars.dims
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return expression.evaluate_batch(self.expr, points)
+        return expression.evaluate_batch(self._evaluate, points)
+
+    def __reduce__(self):
+        # a closure does not pickle; the copy compiles its own
+        return type(self), (self.expr, self.vars)
 
 
 @dataclass(frozen=True)

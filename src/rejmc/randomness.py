@@ -18,7 +18,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
-# uniform01 keeps the top 53 bits, so 1.0 is never produced
+# uniform01_block keeps the top 53 bits, so 1.0 is never produced
 _UNIT_53 = 2.0 ** -53
 # next_u64_block mixes words in pieces of _PIECE: _STEPS[j] is (j+1) steps
 # of the counter, and each thread has one piece of scratch words
@@ -45,15 +45,11 @@ class RandomStream:
     def __init__(self, seed: int):
         self.state = int(seed) & MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        return mix64(self.state)
-
     def next_u64_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next ``count`` outputs as a uint64 array, written to ``out`` if given.
 
-        Equivalent to ``count`` calls of next_u64: output i mixes
-        state + (i+1)*increment, then the state advances by count steps.
+        Output i is mix64 of state + (i+1)*increment, then the state
+        advances by count steps.
         Words are mixed in pieces of at most 2^16, through one scratch
         buffer per thread, so the temporaries stay small whatever ``count``.
         """
@@ -79,13 +75,10 @@ class RandomStream:
         self.state = (self.state + count * GOLDEN_GAMMA) & MASK64
         return out
 
-    def uniform01(self) -> float:
-        """One draw in [0, 1): top 53 bits scaled by 2^-53."""
-        return (self.next_u64() >> 11) * _UNIT_53
-
     def uniform01_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next ``count`` draws in [0, 1) as float64, written to ``out`` if
-        given: the words are generated in place and converted in place."""
+        given: the top 53 bits of each word scaled by 2^-53. The words are
+        generated in place and converted in place."""
         if out is None:
             out = np.empty(count)
         words = out.view(np.uint64)

@@ -6,6 +6,7 @@ import pytest
 
 import rejmc
 from rejmc import Box, ScalarField, VarOrder
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, mix64
 
 # canonical test targets used across the suite
 SINE_DENSITY = "sin(x)/sqrt(2)"
@@ -26,6 +27,19 @@ PRODUCT_BOX_INTEGRAL = 16.0
 # entry (e.g. PYTHONPATH=src) would no longer resolve. Put the absolute
 # import root of the rejmc under test first, keeping any existing entries.
 IMPORT_ROOT = str(Path(rejmc.__file__).resolve().parent.parent)
+
+
+def next_u64(stream):
+    """One splitmix64 word from a RandomStream, advancing it one step: the
+    sequential oracle of its block methods."""
+    stream.state = (stream.state + GOLDEN_GAMMA) & MASK64
+    return mix64(stream.state)
+
+
+def uniform01(stream):
+    """One draw in [0, 1) from a RandomStream: the top 53 bits of one word
+    scaled by 2^-53, as uniform01_block makes each of its draws."""
+    return (next_u64(stream) >> 11) * 2.0**-53
 
 
 def subprocess_env():

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from rejmc import EvalError, ParseError, VarOrder, parse
 from rejmc.expression import MAX_DEPTH, BinOp, Call, Const, Neg, Num, Var
-from rejmc.expression import evaluate_batch, free_vars, to_text
+from rejmc.expression import Grid, evaluate_batch, free_vars, to_text
+from rejmc.samplers import ordered_map
 
 
 def evaluate(node, point=()):
@@ -275,9 +277,8 @@ class TestDepthLimit:
         with ThreadPoolExecutor(max_workers=1) as pool:
             values = pool.submit(evaluate_batch, ast, pts).result()
         assert values.shape == (2,) and np.all(np.isfinite(values))
-        # compared as text: == on a tree this deep recurses past Python's limit
         text = to_text(ast)
-        assert to_text(parse(text, ["x"])) == text
+        assert parse(text, ["x"]) == ast
 
     @pytest.mark.parametrize("kind", list(CASES))
     def test_one_level_deeper_is_refused_with_offset(self, kind):
@@ -290,6 +291,76 @@ class TestDepthLimit:
     def test_far_too_deep_is_refused_not_a_recursion_error(self, make):
         with pytest.raises(ParseError, match="nests too deeply"):
             parse(make(3001), ["x"])
+
+
+def _chain(wrap, leaf, levels=MAX_DEPTH):
+    node = leaf
+    for _ in range(levels):
+        node = wrap(node)
+    return node
+
+
+class TestDeepTrees:
+    """Trees MAX_DEPTH levels deep, built directly: one chain per node kind
+    that nests, over each kind of leaf."""
+
+    WRAPS = {
+        "Neg": Neg,
+        "BinOp": lambda node: BinOp("+", node, Const("pi")),
+        "Call": lambda node: Call("min", (node, Num(1.0))),
+    }
+    LEAVES = {"Num": Num(0.5), "Const": Const("e"), "Var": Var("x", 0)}
+
+    @pytest.mark.parametrize("leaf", list(LEAVES))
+    @pytest.mark.parametrize("kind", list(WRAPS))
+    def test_evaluates_on_the_callers_thread_and_a_pool_thread(self, kind, leaf, monkeypatch):
+        ast = _chain(self.WRAPS[kind], self.LEAVES[leaf])
+        pts = np.array([[0.25], [0.5]])
+        here = evaluate_batch(ast, pts)
+        monkeypatch.setenv("RMC_THREADS", "2")
+        pooled = ordered_map(lambda i: (threading.get_ident(), evaluate_batch(ast, pts)), 2)
+        assert any(ident != threading.get_ident() for ident, _ in pooled)
+        assert here.shape == (2,) and np.all(np.isfinite(here))
+        for _, values in pooled:
+            assert np.array_equal(values, here)
+
+    @pytest.mark.parametrize("func", ["sin", "min"])
+    def test_equality_hash_and_repr_walk_without_recursion(self, func):
+        def wrap(node):
+            return Call(func, (node,) if func == "sin" else (node, Num(2.0)))
+
+        ast = _chain(wrap, Var("x", 0))
+        assert ast == _chain(wrap, Var("x", 0)) and hash(ast) == hash(_chain(wrap, Var("x", 0)))
+        assert ast != _chain(wrap, Var("y", 1))
+        assert ast != _chain(wrap, Var("x", 0), MAX_DEPTH - 1)
+        text = repr(ast)
+        assert text.startswith(f"Call(func='{func}', args=(Call(func='{func}'")
+        assert text.count("Call(") == MAX_DEPTH
+
+    def test_repr_and_equality_are_the_dataclass_ones(self):
+        ast = parse("min(x, 1) + -sin(y)^2 < 3 and x > pi", ["x", "y"])
+        nodes = {cls.__name__: cls for cls in (BinOp, Call, Const, Neg, Num, Var)}
+        assert eval(repr(ast), nodes) == ast
+        assert repr(Call("sin", (Var("x", 0),))) == "Call(func='sin', args=(Var(name='x', index=0),))"
+        assert repr(BinOp("-", Num(1.0), Neg(Const("e")))) == (
+            "BinOp(op='-', left=Num(value=1.0), right=Neg(operand=Const(name='e')))"
+        )
+        # fields compare as a tuple of them would: 1 == 1.0 and 0.0 == -0.0
+        assert Num(1) == Num(1.0) and hash(Num(0.0)) == hash(Num(-0.0))
+        assert Num(1.0) != Const("pi") and Var("x", 0) != Var("x", 1)
+        assert Call("min", (Num(1.0), Num(2.0))) != Call("min", (Num(1.0),))
+
+
+class TestGridMatchesRows:
+    @pytest.mark.parametrize("text", ["-x + y", "exp(x)*y^2", "abs(x) - z", "(x < y) * z"])
+    def test_broadcast_operands_give_the_bits_of_rows(self, text):
+        axes = [np.array([-1.5, 0.0, 2.0]), np.array([0.5, -3.0]), np.array([4.0, -0.0, 1e-3, 9.0])]
+        ast = parse(text, ["x", "y", "z"])
+        mesh = np.meshgrid(*axes, indexing="ij")
+        rows = np.stack([m.ravel() for m in mesh], axis=-1)
+        on_grid = evaluate_batch(ast, Grid(axes))
+        assert on_grid.shape == (3, 2, 4)
+        assert np.array_equal(on_grid.ravel().view(np.uint64), evaluate_batch(ast, rows).view(np.uint64))
 
 
 class TestFreeVars:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ class TestScalarField:
         vals = sine_field(pts)
         assert vals[0] == pytest.approx(1 / math.sqrt(2))
         assert vals[1] == pytest.approx(0.5)
+
+    def test_compiled_evaluator_is_no_part_of_equality_repr_or_pickling(self, gauss_field):
+        copy = pickle.loads(pickle.dumps(gauss_field))
+        assert copy == gauss_field and hash(copy) == hash(gauss_field)
+        assert repr(copy) == repr(gauss_field) and "_evaluate" not in repr(copy)
+        assert copy._evaluate is not gauss_field._evaluate
+        pts = np.array([[0.5, -1.0], [2.0, 0.25]])
+        assert np.array_equal(copy(pts), gauss_field(pts))
 
 
 class TestTargetSpec:

@@ -2,13 +2,14 @@
 
 Each property compares a rewritten path against the straightforward code it
 replaced, kept here as the reference: box scaling against the numpy
-broadcast, grid evaluation against the meshgrid matrix, the table-driven
+broadcast, grid evaluation against the meshgrid matrix, the compiled
 evaluator against a frozen copy of the per-operator one, the piecewise
 generator against the one-shot splitmix64 formula, the CSV and SVG writers
 against per-value formatting, and the samplers against their own output
-under another batch schedule. Two more state an invariant outright:
-evaluate_batch returns no NaN, and a string of tokens either parses to an
-AST that survives the round trip through to_text or raises ParseError.
+under another batch schedule. Three more state an invariant outright:
+evaluate_batch returns no NaN and leaves its points and Grid columns
+unchanged, and a string of tokens either parses to an AST that survives
+the round trip through to_text or raises ParseError.
 """
 import itertools
 import math
@@ -305,11 +306,14 @@ def _rows(text, *rows):
 @example(_rows("x < 1 and (y >= 0 and x > y)", [0.5, 0.25], [2.0, -1.0]))
 @example(_rows("exp(x) - exp(x) < 1 and sin(exp(y)) >= 0", [1000.0, 1.0], [0.0, 1000.0]))
 @example(_rows("x < 1 and sin(exp(y)) >= min(exp(x) - exp(x), 1)", [0.0, 1000.0], [1000.0, 0.0]))
+# numpy's power in place on one element takes its sqrt path, with other bits
+@example(_rows("(x - 1)^y", [3.537854490990523, 0.5]))
 def test_evaluator_equals_frozen_reference(case):
     ast, cols = case
-    assert eval_outcome(lambda c: expression._eval(ast, c), cols) == eval_outcome(
-        lambda c: reference_eval(ast, c), cols
-    )
+    # the compiled node before evaluate_batch's final NaN check, which the
+    # reference leaves to its caller as well
+    run, _ = expression._compile(ast)
+    assert eval_outcome(run, cols) == eval_outcome(lambda c: reference_eval(ast, c), cols)
 
 
 @st.composite
@@ -336,6 +340,28 @@ def test_evaluate_batch_raises_or_returns_no_nan(case):
     except EvalError:
         return
     assert not np.any(np.isnan(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), st.booleans())
+@example((parse("-x", ["x"]), np.array([[1.0], [2.0]])), True)
+@example((parse("exp(x) + 1", ["x"]), Grid([np.array([0.0, 1.0])])), False)
+@example((parse("x^0.5 + y", ["x", "y"]), np.array([[-1.0, 0.0]])), True)
+def test_evaluation_leaves_points_and_grid_columns_unchanged(case, column_major):
+    # a node may write its result into an operand's array only when a node
+    # made that array during this evaluation
+    ast, points = case
+    if isinstance(points, Grid):
+        inputs = points.columns
+    else:
+        points = np.asfortranarray(points) if column_major else points
+        inputs = [points]
+    before = [bits(a).copy() for a in inputs]
+    try:
+        evaluate_batch(ast, points)
+    except EvalError:
+        pass
+    assert all(np.array_equal(bits(a), b) for a, b in zip(inputs, before))
 
 
 WORD_COUNTS = [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5]

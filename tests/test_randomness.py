@@ -3,6 +3,7 @@ import pytest
 
 from rejmc import Box
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, mix64, substream, uniform_box_block
+from conftest import next_u64, uniform01
 
 
 def reference_mix(z):
@@ -29,31 +30,32 @@ def test_seed_zero_reference_output():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    stream = RandomStream(0)
-    assert stream.next_u64() == 0xE220A8397B1DCDAF
-    assert stream.next_u64() == 0x6E789E6AA1B965F4
-    assert stream.next_u64() == 0x06C45D188009454F
+    assert RandomStream(0).next_u64_block(3).tolist() == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 0xDEADBEEF])
 def test_streams_deterministic(seed):
     first = RandomStream(seed)
     second = RandomStream(seed)
-    a = [first.next_u64() for _ in range(3)]
-    b = [second.next_u64() for _ in range(3)]
+    a = first.next_u64_block(3).tolist()
+    b = second.next_u64_block(3).tolist()
     assert a == b
     assert a == reference_sequence(seed, 3)
 
 
 def test_nearby_seeds_differ():
-    assert RandomStream(1).next_u64() != RandomStream(2).next_u64()
+    assert next_u64(RandomStream(1)) != next_u64(RandomStream(2))
 
 
 @pytest.mark.parametrize("seed,count", [(0, 1), (7, 17), (123456789, 1000)])
 def test_block_matches_scalar_draws(seed, count):
     scalar = RandomStream(seed)
     block = RandomStream(seed)
-    expected = [scalar.next_u64() for _ in range(count)]
+    expected = [next_u64(scalar) for _ in range(count)]
     got = block.next_u64_block(count)
     assert [int(v) for v in got] == expected
     assert block.state == scalar.state
@@ -78,7 +80,7 @@ def test_uniform01_range_and_mean():
 def test_uniform01_scalar_matches_block():
     a = RandomStream(5)
     b = RandomStream(5)
-    assert [a.uniform01() for _ in range(10)] == list(b.uniform01_block(10))
+    assert [uniform01(a) for _ in range(10)] == list(b.uniform01_block(10))
 
 
 def test_uniform01_block_equals_uint64_cast_bit_for_bit():
@@ -112,7 +114,7 @@ def test_uniform01_chi_square_uniformity():
 
 def test_uniform_box_identity_square():
     stream = RandomStream(0)
-    expect = [stream.uniform01() for _ in range(2)]
+    expect = [uniform01(stream) for _ in range(2)]
     point = uniform_box_block(RandomStream(0), Box([(0, 1), (0, 1)]), 1)[0]
     assert list(point) == expect
 
@@ -154,7 +156,7 @@ def test_uniform_box_dimension_order():
 
 def test_substream_pure_and_distinct():
     assert substream(42, 3).state == substream(42, 3).state
-    assert substream(42, 0).next_u64() != substream(42, 1).next_u64()
+    assert next_u64(substream(42, 0)) != next_u64(substream(42, 1))
     # state formula: mix64(seed XOR increment*(chunk+1))
     assert substream(42, 3).state == mix64(42 ^ ((GOLDEN_GAMMA * 4) & MASK64))
     with pytest.raises(ValueError):
@@ -167,7 +169,7 @@ def test_substream_merge_invariant_to_interleaving():
     drawn = {}
     for rounds in range(8):
         for st, k in zip(interleaved, (2, 0, 3, 1)):
-            drawn.setdefault(k, []).append(st.uniform01())
+            drawn.setdefault(k, []).append(uniform01(st))
     merged = [np.array(drawn[k]) for k in range(4)]
     for a, b in zip(chunks, merged):
         assert np.array_equal(a, b)

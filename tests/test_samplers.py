@@ -23,7 +23,7 @@ from rejmc import (
 )
 from rejmc.randomness import RandomStream, substream
 from rejmc.samplers import ordered_map
-from conftest import GAUSS_C_LOOSE, SINE_HI, SINE_LO
+from conftest import GAUSS_C_LOOSE, SINE_HI, SINE_LO, uniform01
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def replay_srmc(field, box, c, seed, n):
     accepted = []
     proposals = 0
     while len(accepted) < n:
-        u = [stream.uniform01() for _ in range(d + 1)]
+        u = [uniform01(stream) for _ in range(d + 1)]
         x = box.lower + np.asarray(u[:d]) * box.widths
         y = c * u[d]
         proposals += 1
@@ -118,7 +118,7 @@ class TestSrmc:
         pts1 = []
         prop1 = 0
         while len(pts1) < 904:
-            u = [stream.uniform01() for _ in range(2)]
+            u = [uniform01(stream) for _ in range(2)]
             x = sine_box.lower + np.asarray(u[:1]) * sine_box.widths
             prop1 += 1
             if sine_field(x.reshape(1, -1))[0] > 1.1 * u[1]:
@@ -296,9 +296,9 @@ class TestGrmc:
         accepted = []
         proposals = 0
         while len(accepted) < 200:
-            u0 = stream.uniform01()
-            u1 = stream.uniform01()
-            u2 = stream.uniform01()
+            u0 = uniform01(stream)
+            u1 = uniform01(stream)
+            u2 = uniform01(stream)
             cell = int(np.searchsorted(cum, u0, side="right"))
             x = prop.cell_lower(np.array([cell]))[0] + u1 * prop.cell_widths
             proposals += 1
