@@ -609,6 +609,9 @@ def compile_node(node: Node):
     raises EvalError on any domain fault and never returns NaN. Pass it to
     evaluate_batch in place of node to compile once for many batches."""
     run, _ = _compile(node)
+    if _zero_or_one(node):
+        # its operands are checked for NaN, and its values are 0.0 or 1.0
+        return run
 
     def evaluate(cols):
         out = run(cols)
@@ -616,6 +619,21 @@ def compile_node(node: Node):
         return out
 
     return evaluate
+
+
+def _zero_or_one(node: Node) -> bool:
+    """True when node is a comparison or an "and" of such nodes, whose
+    values are exactly 0.0 or 1.0."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, BinOp):
+            return False
+        if node.op == "and":
+            stack += [node.left, node.right]
+        elif node.op not in _COMPARISONS:
+            return False
+    return True
 
 
 class Grid:

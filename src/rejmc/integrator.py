@@ -13,6 +13,14 @@ replication standard deviation over sqrt(R). Replications run through
 ordered_map on up to RMC_THREADS threads; the screened estimator's sampler
 seeds itself with the replication stream's state after the uniform batch,
 and runs serially inside a replication on the pool.
+
+No replication holds an n-row matrix. Both estimators draw their uniform
+batch _PIECE points at a time into one array of n values, whose mean is
+the whole batch's, bit for bit; the screened estimator counts each gang's
+in-region samples as the sampler finishes the gang, and the integer sum is
+exact in any grouping. When a piece or a gang faults, the replication is
+evaluated again all at once, so that it raises the error it would raise
+evaluated whole.
 """
 from __future__ import annotations
 
@@ -20,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expression import Node
+from .expression import EvalError, Node
 from .model import Box, ScalarField, validate_target
-from .randomness import capture_seed, substream, uniform_box_block
+from .randomness import RandomStream, capture_seed, substream, uniform_box_block
 from .samplers import ordered_map, srmc_sample
+
+# rows of the uniform batch drawn and evaluated at once
+_PIECE = 1 << 14
 
 __all__ = ["IntegralEstimate", "integrate_screened", "integrate_direct"]
 
@@ -70,6 +81,23 @@ def _in_region(indicator: ScalarField, points: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _box_values(value, stream: RandomStream, box: Box, n: int) -> np.ndarray:
+    """value(points) for points = uniform_box_block(stream, box, n), with the
+    same bits and stream use, drawn and evaluated _PIECE rows at a time."""
+    start = stream.state
+    out = np.empty(n)
+    try:
+        for lo in range(0, n, _PIECE):
+            hi = min(n, lo + _PIECE)
+            out[lo:hi] = value(uniform_box_block(stream, box, hi - lo))
+    except Exception:
+        # which check fires first can depend on the other pieces' points
+        stream.state = start
+        value(uniform_box_block(stream, box, n))
+        raise
+    return out
+
+
 def integrate_screened(
     g: ScalarField,
     region: Node,
@@ -92,13 +120,21 @@ def integrate_screened(
     run_seed = capture_seed(seed)
     vol = box.volume
 
+    def count_in_region(points: np.ndarray) -> int:
+        return int(np.count_nonzero(_in_region(indicator, points)))
+
     def one_rep(r: int) -> tuple[float, int, int, int]:
         rs = substream(run_seed, r)
-        # the n x d uniform batch is freed before the sampler runs
-        a = vol * float(np.mean(g(uniform_box_block(rs, box, n))))
-        batch = srmc_sample(target, n, rs.state)
-        in_region = int(np.count_nonzero(_in_region(indicator, batch.points)))
-        return a * (in_region / n), in_region, batch.meta.proposals_drawn, batch.meta.accepted
+        a = vol * float(np.mean(_box_values(g, rs, box, n)))
+        try:
+            run = srmc_sample(target, n, rs.state, finish=count_in_region)
+        except (EvalError, ValueError):
+            # a gang's region fault can come before a later gang's sampler
+            # fault, and need not be the fault all n samples meet first
+            _in_region(indicator, srmc_sample(target, n, rs.state).points)
+            raise
+        in_region = sum(run.parts)
+        return a * (in_region / n), in_region, run.meta.proposals_drawn, run.meta.accepted
 
     results = ordered_map(one_rep, reps)
     values = [r[0] for r in results]
@@ -135,9 +171,11 @@ def integrate_direct(
     run_seed = capture_seed(seed)
     vol = box.volume
 
+    def g_in_region(points: np.ndarray) -> np.ndarray:
+        return g(points) * _in_region(indicator, points)
+
     def one_rep(r: int) -> float:
-        uniform = uniform_box_block(substream(run_seed, r), box, n)
-        return vol * float(np.mean(g(uniform) * _in_region(indicator, uniform)))
+        return vol * float(np.mean(_box_values(g_in_region, substream(run_seed, r), box, n)))
 
     values = ordered_map(one_rep, reps)
     value, stderr = _aggregate(values)

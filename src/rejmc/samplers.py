@@ -12,21 +12,34 @@ pure function of (inputs, seed) no matter how many worker threads run. The
 run seed is an integer; the RMC_THREADS environment variable (default: the
 CPUs this process may run on) is the only worker control.
 
+Consecutive chunks run as gangs, about eight per worker. A gang advances
+its chunks in rounds: each live chunk sizes its next batch from its own
+counts and draws it from its own substream, and up to 2^17 of the round's
+proposals are then scaled, evaluated, tested and searched for acceptances
+in one set of numpy calls. So the calls are long enough for the worker
+threads to share the interpreter lock, and each chunk's draws, trim and
+counts are those of the chunk run alone. When several chunks fail, the run
+raises the failure of the first in chunk order, as the chunks run one at a
+time would.
+
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
-hours.
+hours. Only the first unfinished chunk of a gang draws past its share of
+that budget, so a hopeless gang draws at most about twice one chunk's.
 
-Chunks, the integrator's replications and the CSV and SVG writers' blocks
+Gangs, the integrator's replications and the CSV and SVG writers' blocks
 run through ordered_map, the one parallel map of the package. A call made
 from inside another ordered_map call, such as a sampler inside an
 integrator replication, runs serially, so pools never nest.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,10 +57,17 @@ __all__ = [
     "resolve_workers",
     "ordered_map",
     "CHUNK_ACCEPTS",
+    "FinishedRun",
 ]
 
 CHUNK_ACCEPTS = 4096
 _MAX_BATCH = 1 << 17
+# consecutive chunks run as gangs, about _GANGS_PER_WORKER per worker thread;
+# one propose-and-test call of a gang tests at most _ROUND proposals, unless
+# one chunk's batch alone is larger (only when _ROUND < _MAX_BATCH). 2^17
+# beat 2^15 and 2^16 on integrate_parabola at 1 and 2 threads
+_GANGS_PER_WORKER = 8
+_ROUND = 1 << 17
 # a chunk fails once it has drawn _STOP_AFTER proposals at a running rate
 # below _STOP_RATE: at a true rate of 1e-6, accepting nothing by 2^24
 # proposals has probability e^-16.8
@@ -93,6 +113,12 @@ def resolve_workers() -> int:
     return workers
 
 
+def _pool_workers() -> int:
+    """The threads an ordered_map call may use: 1 from inside another
+    ordered_map call's pool, else resolve_workers()."""
+    return 1 if getattr(_in_pool, "active", False) else resolve_workers()
+
+
 def ordered_map(fn: Callable[[int], object], count: int) -> list:
     """[fn(0), ..., fn(count - 1)], on up to resolve_workers() threads.
 
@@ -101,7 +127,7 @@ def ordered_map(fn: Callable[[int], object], count: int) -> list:
     Otherwise a call does not start once a call before it has failed, and
     when the running calls end the first failure in index order is raised.
     """
-    nworkers = 1 if getattr(_in_pool, "active", False) else min(resolve_workers(), count)
+    nworkers = min(_pool_workers(), count)
     if nworkers <= 1:
         return [fn(i) for i in range(count)]
     first_failed = count
@@ -135,9 +161,9 @@ class _Workspace(threading.local):
     """Reusable float64 buffers of one sampling run, one set per thread.
 
     A propose-and-test call fills its arrays here instead of allocating them
-    per batch. That is safe because a chunk runs on one thread and
-    _run_chunk copies the accepted rows before the next batch. The buffers
-    are freed with the run's closures.
+    per call. That is safe because a gang of chunks runs on one thread and
+    _keep copies the accepted rows before the next call. The buffers are
+    freed with the run's closures.
     """
 
     def __init__(self):
@@ -149,10 +175,17 @@ class _Workspace(threading.local):
             buf = self.buffers[name] = np.empty(size)
         return buf[:size]
 
-    def uniforms(self, local: RandomStream, batch: int, width: int) -> np.ndarray:
-        """A (batch, width) block of fresh uniforms."""
-        u = self.take("u", batch * width)
-        return local.uniform01_block(batch * width, out=u).reshape(batch, width)
+    def uniforms(self, draws: list[tuple[RandomStream, int]], width: int) -> np.ndarray:
+        """The next ``batch`` rows of ``width`` fresh uniforms from each
+        (stream, batch) of draws, one draw after the other, as one block."""
+        rows = sum(batch for _, batch in draws)
+        u = self.take("u", rows * width)
+        start = 0
+        for stream, batch in draws:
+            stop = start + batch * width
+            stream.uniform01_block(batch * width, out=u[start:stop])
+            start = stop
+        return u.reshape(rows, width)
 
     def columns(self, name: str, batch: int, d: int) -> np.ndarray:
         """A column-major (batch, d) array."""
@@ -167,56 +200,173 @@ def _next_batch_size(target: int, accepted: int, proposed: int) -> int:
     return int(min(max(2048, math.ceil(1.2 * need / rate)), _MAX_BATCH))
 
 
-def _run_chunk(
-    stream: RandomStream, chunk_n: int, propose_and_test, tally: list[int]
-) -> np.ndarray:
-    """Sequential rejection loop for one chunk, batched for speed.
+class _Chunk:
+    """The sequential rejection loop of one chunk, one batch at a time.
 
-    ``propose_and_test(stream, batch)`` returns (points, accept_mask). The
-    final batch is trimmed at the accepting proposal that completes the
-    chunk, so proposal counts match the plain sequential loop exactly.
-    ``tally`` is the chunk's [proposals, accepted], which only this call
+    ``tally`` is the chunk's [proposals, accepted], which only this chunk
     writes; it is current after every batch, also when the chunk fails.
     """
-    taken: list[np.ndarray] = []
-    proposed = accepted = 0
-    while True:
-        batch = _next_batch_size(chunk_n, accepted, proposed)
-        pts, ok = propose_and_test(stream, batch)
-        hits = np.nonzero(ok)[0]
-        need = chunk_n - accepted
-        if hits.size >= need:
-            taken.append(pts[hits[:need]])
-            tally[:] = proposed + int(hits[need - 1]) + 1, chunk_n
-            return np.concatenate(taken, axis=0)
-        taken.append(pts[hits])
+
+    def __init__(self, stream: RandomStream, n: int, tally: list[int]):
+        self.stream, self.n, self.tally = stream, n, tally
+        self.taken: list[np.ndarray] = []
+
+    @property
+    def done(self) -> bool:
+        return self.tally[1] == self.n
+
+    def next_batch(self) -> int:
+        return _next_batch_size(self.n, self.tally[1], self.tally[0])
+
+    def keep(self, rows: np.ndarray, hits: np.ndarray, start: int, batch: int) -> bool:
+        """Take in this chunk's tested batch: proposals start to
+        start + batch of a block, of which ``hits`` accepted, with points
+        ``rows``. The batch is trimmed at the accepting proposal that
+        completes the chunk, so proposal counts match the plain sequential
+        loop exactly. False when the chunk has run out of budget."""
+        proposed, accepted = self.tally
+        need = self.n - accepted
+        if len(hits) >= need:
+            self.taken.append(rows[:need])
+            self.tally[:] = proposed + int(hits[need - 1]) - start + 1, self.n
+            return True
+        self.taken.append(rows)
         proposed += batch
-        accepted += hits.size
-        tally[:] = proposed, accepted
-        if proposed >= _STOP_AFTER and accepted < _STOP_RATE * proposed:
-            raise _ChunkBudgetExceeded()
+        accepted += len(hits)
+        self.tally[:] = proposed, accepted
+        return proposed < _STOP_AFTER or accepted >= _STOP_RATE * proposed
 
 
-def _run_chunked(n: int, seed: int, propose_and_test, bound_for_meta: float) -> SampleBatch:
+def _rounds(live: list[_Chunk], patience: int):
+    """One round of the live chunks, each with its next batch size, as runs
+    of consecutive chunks whose batches total at most _ROUND proposals; a
+    batch larger than that runs alone. A chunk after the first sits the
+    round out when its batch would take it past ``patience`` proposals."""
+    group, total = [], 0
+    for k, chunk in enumerate(live):
+        batch = chunk.next_batch()
+        if k and chunk.tally[0] + batch > patience:
+            continue
+        if group and total + batch > _ROUND:
+            yield group
+            group, total = [], 0
+        group.append((chunk, batch))
+        total += batch
+    yield group
+
+
+def _keep(group: list[tuple[_Chunk, int]], pts: np.ndarray, ok: np.ndarray) -> _Chunk | None:
+    """Hand each (chunk, batch) of group its share of the tested block of
+    their batches. Returns the first chunk that ran out of budget, or None."""
+    hits = np.flatnonzero(ok)
+    rows = pts[hits]
+    starts = [0, *itertools.accumulate(batch for _, batch in group)]
+    bounds = np.searchsorted(hits, starts).tolist()
+    over = None
+    for k, (chunk, batch) in enumerate(group):
+        lo, hi = bounds[k], bounds[k + 1]
+        if not chunk.keep(rows[lo:hi], hits[lo:hi], starts[k], batch) and over is None:
+            over = chunk
+    return over
+
+
+def _advance(group: list[tuple[_Chunk, int]], propose_and_test):
+    """Draw and test the next batch of each (chunk, batch) of group, all in
+    one propose_and_test call. Returns None, or (chunk, exception) for the
+    first chunk of group that failed."""
+    states = [chunk.stream.state for chunk, _ in group]
+    try:
+        pts, ok = propose_and_test([(chunk.stream, batch) for chunk, batch in group])
+    except Exception:
+        # which check of the evaluation fires first can depend on the other
+        # chunks' points, so replay the batches one chunk at a time: the
+        # first faulting chunk raises what it raises alone
+        for (chunk, _), state in zip(group, states):
+            chunk.stream.state = state
+        for chunk, batch in group:
+            try:
+                pts, ok = propose_and_test([(chunk.stream, batch)])
+            except Exception as exc:
+                return chunk, exc
+            if _keep([(chunk, batch)], pts, ok) is not None:
+                return chunk, _ChunkBudgetExceeded()
+        return None
+    over = _keep(group, pts, ok)
+    return None if over is None else (over, _ChunkBudgetExceeded())
+
+
+def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
+    """The accepted rows of consecutive chunks, in chunk order, from their
+    rejection loops run together: in each round every live chunk draws its
+    next batch from its own stream, and each run of batches from _rounds is
+    tested in one propose_and_test call.
+
+    A chunk that fails drops the chunks after it, and the chunks before it
+    run on; at the end the failure of the first chunk that failed is
+    raised, as the chunks run one at a time would raise it. Only the first
+    live chunk draws past its share of one chunk's budget, so a hopeless
+    gang draws at most about twice what one chunk may before it fails.
+    """
+    live, failure = chunks, None
+    patience = _STOP_AFTER // len(chunks)
+    while live:
+        for group in _rounds(live, patience):
+            failed = _advance(group, propose_and_test)
+            if failed is not None:
+                chunk, failure = failed
+                live = live[: live.index(chunk)]
+                break
+        live = [chunk for chunk in live if not chunk.done]
+    if failure is not None:
+        raise failure
+    return [rows for chunk in chunks for rows in chunk.taken]
+
+
+def _gang_size(chunks: int) -> int:
+    """Chunks per gang: about _GANGS_PER_WORKER gangs for each worker that
+    ordered_map may use."""
+    return max(1, chunks // (_GANGS_PER_WORKER * _pool_workers()))
+
+
+@dataclass(frozen=True, eq=False)
+class FinishedRun:
+    """A sampling run given ``finish``: finish(points) of each gang of
+    chunks, in chunk order, and the run's metadata."""
+
+    parts: list
+    meta: RunMetadata
+
+
+def _run_chunked(
+    n: int, seed: int, propose_and_test, bound_for_meta: float, finish=None
+) -> SampleBatch | FinishedRun:
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
     run_seed = capture_seed(seed)
     sizes = [min(CHUNK_ACCEPTS, n - start) for start in range(0, n, CHUNK_ACCEPTS)]
     tallies = [[0, 0] for _ in sizes]
+    gang = _gang_size(len(sizes))
 
-    def work(i: int) -> np.ndarray:
-        return _run_chunk(substream(run_seed, i), sizes[i], propose_and_test, tallies[i])
+    def work(g: int):
+        chunks = [
+            _Chunk(substream(run_seed, i), sizes[i], tallies[i])
+            for i in range(g * gang, min(len(sizes), (g + 1) * gang))
+        ]
+        points = np.concatenate(_run_gang(chunks, propose_and_test), axis=0)
+        return points if finish is None else finish(points)
 
     try:
-        chunks = ordered_map(work, len(sizes))
+        parts = ordered_map(work, -(-len(sizes) // gang))
     except _ChunkBudgetExceeded:
-        chunks = None
+        parts = None
     # ordered_map has joined every call that ran, so no tally changes now
     proposals, accepted = (sum(column) for column in zip(*tallies))
-    if chunks is None:
+    if parts is None:
         raise BudgetExhausted(proposals, accepted, n)
     meta = RunMetadata(seed=run_seed, proposals_drawn=proposals, accepted=n, bound_c=bound_for_meta)
-    return SampleBatch(points=np.concatenate(chunks, axis=0), meta=meta)
+    if finish is not None:
+        return FinishedRun(parts=parts, meta=meta)
+    return SampleBatch(points=np.concatenate(parts, axis=0), meta=meta)
 
 
 def _uniform_box_test(field: ScalarField, box: Box, c: float):
@@ -226,29 +376,39 @@ def _uniform_box_test(field: ScalarField, box: Box, c: float):
     lower, widths = box.lower, box.widths
     ws = _Workspace()
 
-    def propose_and_test(local: RandomStream, batch: int):
-        u = ws.uniforms(local, batch, d + 1)
-        pts = scale_to_box(u, lower, widths, out=ws.columns("pts", batch, d))
+    def propose_and_test(draws: list[tuple[RandomStream, int]]):
+        u = ws.uniforms(draws, d + 1)
+        pts = scale_to_box(u, lower, widths, out=ws.columns("pts", len(u), d))
         return pts, field(pts) > c * u[:, d]
 
     return propose_and_test
 
 
-def srmc_sample(target: TargetSpec, n: int, seed: int) -> SampleBatch:
+def srmc_sample(
+    target: TargetSpec, n: int, seed: int, *, finish: Callable | None = None
+) -> SampleBatch | FinishedRun:
     """Draw n samples from the target via uniform proposals on its box.
 
     Per proposal: x uniform on the box (dims draws), y = bound_c * u (one
     draw); accept x iff f(x) > y. Accepted points are returned in acceptance
     order. Raises BudgetExhausted when a chunk has drawn at least 2^24
     proposals at a running acceptance rate below 1e-6.
+
+    Given ``finish``, the run returns a FinishedRun of finish(points) for
+    each gang's points instead, and never holds all n points at once.
     """
     propose_and_test = _uniform_box_test(target.field, target.support, target.bound_c)
-    return _run_chunked(n, seed, propose_and_test, target.bound_c)
+    return _run_chunked(n, seed, propose_and_test, target.bound_c, finish)
 
 
 def grmc_sample(
-    field: ScalarField, proposal: PiecewiseUniformProposal, n: int, seed: int
-) -> SampleBatch:
+    field: ScalarField,
+    proposal: PiecewiseUniformProposal,
+    n: int,
+    seed: int,
+    *,
+    finish: Callable | None = None,
+) -> SampleBatch | FinishedRun:
     """Draw n samples using a piecewise-uniform proposal.
 
     Per proposal: a cell is selected proportionally to its mass (inverse CDF
@@ -257,7 +417,7 @@ def grmc_sample(
     envelope c = h_cell: it consumes no cell draw and runs srmc_sample's
     propose-and-test, so it reproduces srmc_sample at bound_c = h_cell draw
     for draw. The metadata's bound_c records the effective constant
-    total_mass/volume.
+    total_mass/volume. ``finish`` is as in srmc_sample.
     """
     box = proposal.box
     d = box.dims
@@ -270,12 +430,13 @@ def grmc_sample(
         cum = proposal.cumulative
         ws = _Workspace()
 
-        def propose_and_test(local: RandomStream, batch: int):
-            u = ws.uniforms(local, batch, d + 2)
+        def propose_and_test(draws: list[tuple[RandomStream, int]]):
+            u = ws.uniforms(draws, d + 2)
+            batch = len(u)
             cells = np.searchsorted(cum, u[:, 0], side="right")
             lows = proposal.cell_lower(cells, out=ws.columns("lows", batch, d))
             pts = scale_to_box(u[:, 1:], lows, cell_widths, out=ws.columns("pts", batch, d))
             return pts, field(pts) > heights_flat[cells] * u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
-    return _run_chunked(n, seed, propose_and_test, effective_c)
+    return _run_chunked(n, seed, propose_and_test, effective_c, finish)

@@ -1,0 +1,192 @@
+"""A differential sweep of the samplers and integrators against another
+revision's, run by hand from the repository root:
+
+    PYTHONPATH=src python3 tests/sampler_sweep.py REV [N] [SEED]
+
+Loads REV's ``src/rejmc`` (through ``git show``) as a package of its own and
+runs N (default 2000) random cases with it and with this checkout. A case
+is a target from a fixed list, a sample count n, a seed and an RMC_THREADS
+value of 1, 2 or 3. Each case runs srmc_sample, grmc_sample with one cell
+and with several, integrate_screened and integrate_direct. Some targets
+fault on a thin slice of the box, or in the region there, so that only
+some chunks, pieces or gangs meet the fault; one target has a running
+acceptance rate near the budget's floor, which the sweep raises for it,
+so that only some chunks exhaust their budget.
+
+Each outcome is the points' bits and proposals_drawn, the estimate's
+fields, or the error's type and message. A BudgetExhausted outcome is its
+type and requested_n alone: its proposal count sums the chunks that ran,
+and which chunks ran depends on the thread count and on the revision.
+Prints the counts of equal outcomes, of results and of errors, and each
+differing case up to ten; exits 1 when any outcome differs. pytest does
+not collect this file.
+"""
+import dataclasses
+import hashlib
+import importlib
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import rejmc
+
+GAUSS2D = "exp(-(x^2+y^2-0.4*x*y)/1.92)/6.1563"
+TRIG3D = "exp(-2*(x^2+y^2+z^2)) * (1 + cos(3*x)*cos(3*y)*sin(2*z+1))"
+
+
+@dataclasses.dataclass(frozen=True)
+class Target:
+    names: tuple[str, ...]
+    box: tuple[tuple[float, float], ...]
+    density: str  # "{eps}" is a random slice width
+    bound_c: float
+    region: str
+    # up to 80 chunks for the quick targets: a gang holds chunks // (8 * workers)
+    # chunks, and the integrators' samplers run with one worker inside the pool
+    max_n: int
+    floor: tuple[int, float] | None = None  # (_STOP_AFTER, _STOP_RATE) for this target
+
+
+TARGETS = [
+    Target(("x", "y"), ((0, 4), (0, 2)), "x*y", 8.8, "y^2 <= x and y >= 0 and y >= x - 2", 330_000),
+    Target(("x", "y"), ((-5, 5), (-5, 5)), GAUSS2D, 0.2, "x + y < 1", 330_000),
+    Target(("x", "y", "z"), ((-3, 3),) * 3, TRIG3D, 2.2, "x^2 + y^2 + z^2 < 1", 12_000),
+    # the sqrt and log checks fault on thin slices at either end of the box;
+    # the log check comes second in the density and first in the region, and
+    # its slice is ten times thinner in the region, so that a batch, a piece
+    # or a gang can meet one fault while the whole run meets both
+    Target(
+        ("x",), ((-1, 1),), "exp(-x^2) + 0*sqrt(x + 1 - {eps}) + 0*log(1 - {eps} - x)", 1.1,
+        "x^2 < 0.5", 330_000,
+    ),
+    Target(
+        ("x", "y"), ((0, 4), (0, 2)), "x*y", 8.8,
+        "log(4 - {eps}/10 - x) < 2 and sqrt(2 - {eps} - y) >= 0", 330_000,
+    ),
+    # acceptance near 5%, so some chunks fall under the floor after 2^15 proposals
+    Target(("x",), ((0, 1),), "(x >= 1 - {eps})", 1.0, "x > 0.5", 30_000, (1 << 15, 0.05)),
+]
+
+
+def load(rev: str):
+    """REV's src/rejmc, imported as the package rejmc_at_rev."""
+    listing = subprocess.run(
+        ["git", "ls-tree", "--name-only", f"{rev}:src/rejmc"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    with tempfile.TemporaryDirectory(prefix="sampler_sweep_") as root:
+        package = Path(root) / "rejmc_at_rev"
+        package.mkdir()
+        for name in listing:
+            if name.endswith(".py"):
+                source = subprocess.run(
+                    ["git", "show", f"{rev}:src/rejmc/{name}"],
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                (package / name).write_text(source)
+        sys.path.insert(0, root)
+        # the package imports every module of it, so the files can go
+        module = importlib.import_module("rejmc_at_rev")
+        sys.path.remove(root)
+    return module
+
+
+def digest(points: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(points).view(np.uint64).tobytes()).hexdigest()[:16]
+
+
+def outcome(module, run):
+    try:
+        result = run()
+    except module.BudgetExhausted as exc:
+        return "error", "BudgetExhausted", exc.requested_n
+    except Exception as exc:
+        return "error", type(exc).__name__, str(exc)
+    if isinstance(result, module.SampleBatch):
+        return "ok", result.points.shape, digest(result.points), result.meta
+    fields = dataclasses.astuple(result)
+    return "ok", repr(fields)
+
+
+def runs(module, target: Target, eps: float, n: int, seed: int, bins: int, reps: int):
+    """(name, run) for each run of a case, on module's functions."""
+    names = module.VarOrder(list(target.names))
+    field = module.ScalarField.from_text(target.density.format(eps=eps), names)
+    region = module.parse(target.region.format(eps=eps), names)
+    box = module.Box(list(target.box))
+    spec = module.TargetSpec(field, box, target.bound_c)
+
+    def grmc(cells):
+        return lambda: module.grmc_sample(
+            field, module.build_piecewise_proposal(field, box, cells), n, seed
+        )
+
+    n_int = max(1, n // 2)
+    return [
+        ("srmc", lambda: module.srmc_sample(spec, n, seed)),
+        ("grmc one cell", grmc(1)),
+        (f"grmc {bins} cells", grmc(bins)),
+        ("screened", lambda: module.integrate_screened(field, region, box, n_int, reps, seed)),
+        ("direct", lambda: module.integrate_direct(field, region, box, n_int, reps, seed)),
+    ]
+
+
+def with_floor(module, floor, run):
+    samplers = importlib.import_module(module.__name__ + ".samplers")
+    saved = samplers._STOP_AFTER, samplers._STOP_RATE
+    if floor is not None:
+        samplers._STOP_AFTER, samplers._STOP_RATE = floor
+    try:
+        return outcome(module, run)
+    finally:
+        samplers._STOP_AFTER, samplers._STOP_RATE = saved
+
+
+def main() -> int:
+    if len(sys.argv) < 2:
+        print(__doc__)
+        return 2
+    rev = sys.argv[1]
+    count = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
+    rng = random.Random(int(sys.argv[3]) if len(sys.argv) > 3 else 2024)
+    other = load(rev)
+    counts = {"equal": 0, "ok": 0, "error": 0}
+    differ = []
+    for _ in range(count):
+        target = rng.choice(TARGETS)
+        eps = 10 ** rng.uniform(-6.5, -3.5) if target.floor is None else rng.uniform(0.04, 0.07)
+        n = min(target.max_n, int(math.exp(rng.uniform(0, math.log(target.max_n)))))
+        seed = rng.randrange(1 << 64)
+        bins = rng.randint(2, 5)
+        reps = rng.randint(1, 3)
+        os.environ["RMC_THREADS"] = str(rng.randint(1, 3))
+        case = f"{target.density.format(eps=eps)!r} n={n} seed={seed} bins={bins} reps={reps} " \
+               f"RMC_THREADS={os.environ['RMC_THREADS']}"
+        pairs = zip(
+            runs(other, target, eps, n, seed, bins, reps),
+            runs(rejmc, target, eps, n, seed, bins, reps),
+        )
+        for (name, old_run), (_, new_run) in pairs:
+            old = with_floor(other, target.floor, old_run)
+            new = with_floor(rejmc, target.floor, new_run)
+            if repr(old) == repr(new):
+                counts["equal"] += 1
+                counts[old[0]] += 1
+            else:
+                differ.append((f"{name}: {case}", old, new))
+    print(f"{count} cases, {5 * count} runs (srmc, grmc one cell and several, both integrators)")
+    print(f"equal outcomes: {counts['equal']} ({counts['ok']} results, {counts['error']} errors)")
+    print(f"different outcomes: {len(differ)}")
+    for text, old, new in differ[:10]:
+        print(f"    {text}\n        {rev}: {old}\n        here: {new}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

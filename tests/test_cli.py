@@ -405,7 +405,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("RMC_THREADS must be checked before any work")
 
-        monkeypatch.setattr(samplers, "_run_chunk", never)
+        monkeypatch.setattr(samplers, "_run_gang", never)
         monkeypatch.setattr(model, "grid_reduce", never)
         args = {"sample": sample_args(), "bound": BOUND_ARGS}[command]
         assert run(args, tmp_path, monkeypatch, env={"RMC_THREADS": value}) == 1

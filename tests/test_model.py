@@ -164,9 +164,9 @@ class TestPiecewiseProposal:
         assert np.searchsorted(prop.cumulative, 0.0, side="right") == 1
         # grmc_sample hands _run_chunked its propose-and-test closure: every
         # proposal, accepted or not, lies outside the zero-height cell
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, *_: propose)
         propose = grmc_sample(field, prop, 1, 1)
-        pts, _ = propose(RandomStream(3), 100_000)
+        pts, _ = propose([(RandomStream(3), 100_000)])
         assert pts.shape == (100_000, 1)
         assert np.all(pts[:, 0] >= 0.25)
 

@@ -17,16 +17,19 @@ import os
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rejmc.cli as cli
 import rejmc.expression as expression
+import rejmc.integrator as integrator
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
 from rejmc import ParseError, parse, samplers, srmc_sample, svgplot, validate_target
 from rejmc.expression import BinOp, Call, Const, Grid, Neg, Num, Var
 from rejmc.expression import evaluate_batch, to_text
-from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, scale_to_box
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, capture_seed, scale_to_box
+from rejmc.randomness import substream, uniform_box_block
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # widths from subnormal-tiny to near the float range, corners of either sign
@@ -462,13 +465,13 @@ def sine_sampler():
     return on_threads(lambda n, seed: srmc_sample(target, n, seed))
 
 
-def gauss_grmc_sampler():
+def gauss_grmc_sampler(bins):
     field = ScalarField.from_text("exp(-(x^2 + y^2 - 0.4*x*y)/1.92)", VarOrder(["x", "y"]))
-    proposal = build_piecewise_proposal(field, Box([(-4, 4), (-4, 4)]), [3, 5])
+    proposal = build_piecewise_proposal(field, Box([(-4, 4), (-4, 4)]), bins)
     return on_threads(lambda n, seed: grmc_sample(field, proposal, n, seed))
 
 
-SAMPLERS = {"srmc": sine_sampler(), "grmc": gauss_grmc_sampler()}
+SAMPLERS = {"srmc": sine_sampler(), "grmc": gauss_grmc_sampler([3, 5])}
 
 
 # shrinking toward one-proposal batches re-runs thousands of batches per
@@ -505,3 +508,118 @@ def test_samples_do_not_depend_on_worker_count(kind, n, seed, workers):
     got = sample(n, seed, workers)
     assert np.array_equal(bits(got.points), bits(want.points))
     assert got.meta.proposals_drawn == want.meta.proposals_drawn
+
+
+GANG_SAMPLERS = {**SAMPLERS, "grmc_one_cell": gauss_grmc_sampler(1)}
+
+
+@pytest.mark.parametrize("gang", [1, 2, 7, "all"])
+@pytest.mark.parametrize("kind", sorted(GANG_SAMPLERS))
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(1, 12 * samplers.CHUNK_ACCEPTS),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1, 3000, 1 << 15, 1 << 16, 1 << 17, 1 << 40]),
+    st.integers(1, 3),
+)
+def test_samples_do_not_depend_on_gangs(kind, gang, n, seed, round_cap, workers):
+    sample = GANG_SAMPLERS[kind]
+    want = sample(n, seed)
+    size = (lambda chunks: chunks) if gang == "all" else (lambda chunks: gang)
+    with mock.patch.object(samplers, "_gang_size", size):
+        with mock.patch.object(samplers, "_ROUND", round_cap):
+            got = sample(n, seed, workers)
+    assert np.array_equal(bits(got.points), bits(want.points))
+    assert got.meta.proposals_drawn == want.meta.proposals_drawn
+
+
+def value_bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def aggregate(values):
+    arr = np.asarray(values, dtype=np.float64)
+    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return value_bits([float(arr.mean()), stderr, *values])
+
+
+def in_region(indicator, points):
+    inside = indicator(points)
+    if not np.all((inside == 0.0) | (inside == 1.0)):
+        raise ValueError("region must evaluate to 0 or 1")
+    return inside
+
+
+def screened_reference(g, region, box, n, reps, seed):
+    """integrate_screened's numbers as its replications computed them, on the
+    whole uniform batch and then on all n samples at once."""
+    indicator = ScalarField(region, g.vars)
+    target = validate_target(g, box)
+    run_seed = capture_seed(seed)
+    values, counts, proposals, accepted = [], 0, 0, 0
+    for r in range(reps):
+        rs = substream(run_seed, r)
+        a = box.volume * float(np.mean(g(uniform_box_block(rs, box, n))))
+        batch = srmc_sample(target, n, rs.state)
+        count = int(np.count_nonzero(in_region(indicator, batch.points)))
+        values.append(a * (count / n))
+        counts += count
+        proposals += batch.meta.proposals_drawn
+        accepted += batch.meta.accepted
+    return aggregate(values), counts, proposals, accepted
+
+
+def direct_reference(g, region, box, n, reps, seed):
+    """integrate_direct's numbers as its replications computed them, on the
+    whole uniform batch."""
+    indicator = ScalarField(region, g.vars)
+    run_seed = capture_seed(seed)
+    values = []
+    for r in range(reps):
+        uniform = uniform_box_block(substream(run_seed, r), box, n)
+        values.append(box.volume * float(np.mean(g(uniform) * in_region(indicator, uniform))))
+    return aggregate(values), 0, 0, 0
+
+
+def estimate_numbers(run):
+    """run()'s estimate as the references give it, or its error's type and message."""
+    try:
+        est = run()
+    except (EvalError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    values = aggregate(est.per_replication_values)
+    assert values[:2] == value_bits([est.value, est.std_error])
+    return values, est.n_in_region, est.proposals_drawn, est.accepted
+
+
+def reference_numbers(run):
+    try:
+        return run()
+    except (EvalError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+PARABOLA = "y^2 <= x and y >= 0 and y >= x - 2"
+# the log check comes first, and its slice is thinner: many pieces and gangs
+# that fault meet only the sqrt check, while the whole batch meets both
+THIN_FAULTS = "log(4 - 0.00004 - x) < 2 and sqrt(2 - 0.0002 - y) >= 0"
+
+
+@pytest.mark.parametrize("region", [PARABOLA, THIN_FAULTS], ids=["parabola", "thin_faults"])
+@pytest.mark.parametrize(
+    "n", [1, 1000, 3 * integrator._PIECE + 17, 5 * samplers.CHUNK_ACCEPTS + 1, 60_000]
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_integrators_equal_whole_batch_replications(region, n, workers, monkeypatch):
+    monkeypatch.setenv("RMC_THREADS", str(workers))
+    order = VarOrder(["x", "y"])
+    g = ScalarField.from_text("x*y", order)
+    box = Box([(0, 4), (0, 2)])
+    node = parse(region, order)
+    for seed in (7, 2**64 - 1):
+        for run, reference in [
+            (integrator.integrate_screened, screened_reference),
+            (integrator.integrate_direct, direct_reference),
+        ]:
+            got = estimate_numbers(lambda: run(g, node, box, n, 3, seed))
+            assert got == reference_numbers(lambda: reference(g, node, box, n, 3, seed))

@@ -21,6 +21,7 @@ from rejmc import (
     srmc_sample,
     validate_target,
 )
+from rejmc.expression import EvalError, Num
 from rejmc.randomness import RandomStream, substream
 from rejmc.samplers import ordered_map
 from conftest import GAUSS_C_LOOSE, SINE_HI, SINE_LO, uniform01
@@ -207,7 +208,7 @@ class TestGrmc:
     def test_single_cell_breaks_ties_as_srmc_does(self, monkeypatch):
         # f = 1 under h0 = 1.2: f/h0 == 0.8333333333333334 == u, but
         # h0 * u rounds to 1.0, so f > h0*u rejects the first proposal
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, *_: propose)
         field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
         box = Box([(0, 1)])
         prop = build_piecewise_proposal(field, box, 1)
@@ -217,8 +218,8 @@ class TestGrmc:
         srmc = srmc_sample(validate_target(field, box, h0), 1, 0)
         # two proposals of (x, u): the tie, then a clear acceptance
         block = [0.5, 0.8333333333333334, 0.25, 0.5]
-        pts_a, ok_a = one_cell(FixedUniforms(block), 2)
-        pts_b, ok_b = srmc(FixedUniforms(block), 2)
+        pts_a, ok_a = one_cell([(FixedUniforms(block), 2)])
+        pts_b, ok_b = srmc([(FixedUniforms(block), 2)])
         assert ok_b.tolist() == [False, True]
         assert ok_a.tolist() == ok_b.tolist()
         assert np.array_equal(pts_a, pts_b)
@@ -226,14 +227,14 @@ class TestGrmc:
     def test_cells_break_ties_as_srmc_does(self, monkeypatch):
         # two cells of height 1.2 over f = 1: f/h == 0.8333333333333334 == u,
         # but h * u rounds to 1.0, so f > h*u rejects, as srmc's test does
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, *_: propose)
         field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
         prop = build_piecewise_proposal(field, Box([(0, 1)]), 2)
         assert prop.heights.tolist() == [1.2, 1.2]
         two_cells = grmc_sample(field, prop, 1, 0)
         # two proposals of (cell, x, u): the tie, then a clear acceptance
         block = [0.25, 0.5, 0.8333333333333334, 0.75, 0.5, 0.5]
-        _, ok = two_cells(FixedUniforms(block), 2)
+        _, ok = two_cells([(FixedUniforms(block), 2)])
         assert ok.tolist() == [False, True]
 
     def test_refined_proposal_accepts_more(self, sine_field, sine_box):
@@ -313,7 +314,7 @@ class TestWorkspace:
     @pytest.fixture
     def proposers(self, monkeypatch, sine_target, gauss_field, gauss_box):
         # each sampler hands _run_chunked its propose-and-test closure
-        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, bound_c: propose)
+        monkeypatch.setattr(samplers, "_run_chunked", lambda n, seed, propose, *_: propose)
         multi = build_piecewise_proposal(gauss_field, gauss_box, [3, 5])
         single = build_piecewise_proposal(gauss_field, gauss_box, 1)
         return {
@@ -325,13 +326,13 @@ class TestWorkspace:
     @pytest.mark.parametrize("kind", ["srmc", "grmc", "grmc_one_cell"])
     def test_batches_reuse_one_workspace_per_thread(self, proposers, kind):
         propose = proposers[kind]
-        first, _ = propose(RandomStream(1), 1000)
+        first, _ = propose([(RandomStream(1), 1000)])
         want = first.copy()
-        second, _ = propose(RandomStream(2), 500)
+        second, _ = propose([(RandomStream(2), 500)])
         assert np.shares_memory(first, second)
         elsewhere = []
         thread = threading.Thread(
-            target=lambda: elsewhere.append(propose(RandomStream(1), 1000)[0])
+            target=lambda: elsewhere.append(propose([(RandomStream(1), 1000)])[0])
         )
         thread.start()
         thread.join(timeout=60)
@@ -399,6 +400,47 @@ class TestBudget:
             srmc_sample(target, 4096, 1)
         assert err.value.proposals_drawn == 1 << 24
         assert err.value.accepted >= 1
+
+
+class TestGangFailures:
+    """Chunks 0 and 1 run as one gang under a stub propose-and-test that
+    accepts nothing and faults whenever it is handed chunk 1's first batch.
+    The run must raise what the chunks run one at a time raise: the first
+    failure in chunk order."""
+
+    @pytest.mark.parametrize("chunk0", ["exhausts", "faults later", "completes"])
+    def test_first_failure_in_chunk_order_wins(self, chunk0, monkeypatch):
+        monkeypatch.setattr(samplers, "_gang_size", lambda chunks: chunks)
+        monkeypatch.setattr(samplers, "_STOP_AFTER", 1 << 16)
+        seed = 5
+        first = {substream(seed, i).state: i for i in range(2)}
+        calls = []
+
+        def propose_and_test(draws):
+            chunks = [first.get(stream.state) for stream, _ in draws]
+            calls.append(chunks)
+            rows = sum(batch for _, batch in draws)
+            for stream, batch in draws:
+                stream.next_u64_block(batch)
+            if 1 in chunks:
+                raise EvalError("chunk 1 faults", Num(1.0))
+            if chunk0 == "faults later" and len(calls) > 3:
+                raise EvalError("chunk 0 faults", Num(0.0))
+            return np.zeros((rows, 1)), np.full(rows, chunk0 == "completes")
+
+        run = lambda: samplers._run_chunked(2 * samplers.CHUNK_ACCEPTS, seed, propose_and_test, 1.0)
+        if chunk0 == "exhausts":
+            with pytest.raises(BudgetExhausted) as err:
+                run()
+            # chunk 0 alone drew: batches of 4096, 4096, 8192, 16384 and 32768
+            assert err.value.proposals_drawn == 1 << 16
+        else:
+            culprit = "chunk 1" if chunk0 == "completes" else "chunk 0"
+            with pytest.raises(EvalError, match=f"{culprit} faults"):
+                run()
+        # one call for the first round, then the replay one chunk at a time,
+        # each from its stream's state before the round
+        assert calls[:3] == [[0, 1], [0], [1]]
 
 
 class TestOrderedMap:
@@ -532,7 +574,9 @@ RUNS = [srmc_sample, grmc_sample, integrator.integrate_screened, integrator.inte
 def test_run_takes_an_integer_seed(run):
     params = inspect.signature(run).parameters
     assert "stream" not in params
-    assert list(params)[-1] == "seed"
+    # the seed is the last positional parameter; options after it are keyword-only
+    positional = [name for name, p in params.items() if p.kind is not p.KEYWORD_ONLY]
+    assert positional[-1] == "seed"
     assert params["seed"].annotation == "int"
 
 
