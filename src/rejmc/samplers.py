@@ -25,7 +25,10 @@ time would.
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
 hours. Only the first unfinished chunk of a gang draws past its share of
-that budget, so a hopeless gang draws at most about twice one chunk's.
+that budget, so a hopeless gang draws at most about twice one chunk's. The
+error counts the proposals of every chunk that ran, less those of the
+chunks a gang dropped after its failing chunk: at one worker, the count of
+the chunks run one at a time.
 
 Gangs, the integrator's replications and the CSV and SVG writers' blocks
 run through ordered_map, the one parallel map of the package. A call made
@@ -57,7 +60,6 @@ __all__ = [
     "resolve_workers",
     "ordered_map",
     "CHUNK_ACCEPTS",
-    "FinishedRun",
 ]
 
 CHUNK_ACCEPTS = 4096
@@ -65,7 +67,10 @@ _MAX_BATCH = 1 << 17
 # consecutive chunks run as gangs, about _GANGS_PER_WORKER per worker thread;
 # one propose-and-test call of a gang tests at most _ROUND proposals, unless
 # one chunk's batch alone is larger (only when _ROUND < _MAX_BATCH). 2^17
-# beat 2^15 and 2^16 on integrate_parabola at 1 and 2 threads
+# beat 2^15 and 2^16 on integrate_parabola at 1 and 2 threads. 8 gangs per
+# worker had the lowest median there of 2, 4, 8 and 16, and fewer, bigger
+# gangs hold more rows per round and per finish call; gangs sized to fill
+# _ROUND unbalanced validate_trig3d's 13 large chunks
 _GANGS_PER_WORKER = 8
 _ROUND = 1 << 17
 # a chunk fails once it has drawn _STOP_AFTER proposals at a running rate
@@ -204,7 +209,8 @@ class _Chunk:
     """The sequential rejection loop of one chunk, one batch at a time.
 
     ``tally`` is the chunk's [proposals, accepted], which only this chunk
-    writes; it is current after every batch, also when the chunk fails.
+    and its gang write; it is current after every batch, also when the
+    chunk fails, and zero once the gang has dropped the chunk.
     """
 
     def __init__(self, stream: RandomStream, n: int, tally: list[int]):
@@ -303,21 +309,26 @@ def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
 
     A chunk that fails drops the chunks after it, and the chunks before it
     run on; at the end the failure of the first chunk that failed is
-    raised, as the chunks run one at a time would raise it. Only the first
-    live chunk draws past its share of one chunk's budget, so a hopeless
-    gang draws at most about twice what one chunk may before it fails.
+    raised, as the chunks run one at a time would raise it. The dropped
+    chunks' tallies are zeroed, since those chunks would not have started,
+    so a budget failure counts what the chunks run one at a time count.
+    Only the first live chunk draws past its share of one chunk's budget,
+    so a hopeless gang draws at most about twice what one chunk may before
+    it fails.
     """
-    live, failure = chunks, None
+    live, culprit, failure = chunks, None, None
     patience = _STOP_AFTER // len(chunks)
     while live:
         for group in _rounds(live, patience):
             failed = _advance(group, propose_and_test)
             if failed is not None:
-                chunk, failure = failed
-                live = live[: live.index(chunk)]
+                culprit, failure = failed
+                live = live[: live.index(culprit)]
                 break
         live = [chunk for chunk in live if not chunk.done]
     if failure is not None:
+        for chunk in chunks[chunks.index(culprit) + 1 :]:
+            chunk.tally[:] = 0, 0
         raise failure
     return [rows for chunk in chunks for rows in chunk.taken]
 
@@ -329,7 +340,7 @@ def _gang_size(chunks: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class FinishedRun:
+class _FinishedRun:
     """A sampling run given ``finish``: finish(points) of each gang of
     chunks, in chunk order, and the run's metadata."""
 
@@ -339,7 +350,7 @@ class FinishedRun:
 
 def _run_chunked(
     n: int, seed: int, propose_and_test, bound_for_meta: float, finish=None
-) -> SampleBatch | FinishedRun:
+) -> SampleBatch | _FinishedRun:
     if n < 1:
         raise ValueError("requested sample count must be at least 1")
     run_seed = capture_seed(seed)
@@ -365,7 +376,7 @@ def _run_chunked(
         raise BudgetExhausted(proposals, accepted, n)
     meta = RunMetadata(seed=run_seed, proposals_drawn=proposals, accepted=n, bound_c=bound_for_meta)
     if finish is not None:
-        return FinishedRun(parts=parts, meta=meta)
+        return _FinishedRun(parts=parts, meta=meta)
     return SampleBatch(points=np.concatenate(parts, axis=0), meta=meta)
 
 
@@ -386,7 +397,7 @@ def _uniform_box_test(field: ScalarField, box: Box, c: float):
 
 def srmc_sample(
     target: TargetSpec, n: int, seed: int, *, finish: Callable | None = None
-) -> SampleBatch | FinishedRun:
+) -> SampleBatch | _FinishedRun:
     """Draw n samples from the target via uniform proposals on its box.
 
     Per proposal: x uniform on the box (dims draws), y = bound_c * u (one
@@ -394,21 +405,17 @@ def srmc_sample(
     order. Raises BudgetExhausted when a chunk has drawn at least 2^24
     proposals at a running acceptance rate below 1e-6.
 
-    Given ``finish``, the run returns a FinishedRun of finish(points) for
-    each gang's points instead, and never holds all n points at once.
+    Given ``finish``, the run returns the list of finish(points) of each
+    gang's points, in chunk order, with the metadata, instead of the points,
+    and never holds all n points at once.
     """
     propose_and_test = _uniform_box_test(target.field, target.support, target.bound_c)
     return _run_chunked(n, seed, propose_and_test, target.bound_c, finish)
 
 
 def grmc_sample(
-    field: ScalarField,
-    proposal: PiecewiseUniformProposal,
-    n: int,
-    seed: int,
-    *,
-    finish: Callable | None = None,
-) -> SampleBatch | FinishedRun:
+    field: ScalarField, proposal: PiecewiseUniformProposal, n: int, seed: int
+) -> SampleBatch:
     """Draw n samples using a piecewise-uniform proposal.
 
     Per proposal: a cell is selected proportionally to its mass (inverse CDF
@@ -417,7 +424,7 @@ def grmc_sample(
     envelope c = h_cell: it consumes no cell draw and runs srmc_sample's
     propose-and-test, so it reproduces srmc_sample at bound_c = h_cell draw
     for draw. The metadata's bound_c records the effective constant
-    total_mass/volume. ``finish`` is as in srmc_sample.
+    total_mass/volume.
     """
     box = proposal.box
     d = box.dims
@@ -439,4 +446,4 @@ def grmc_sample(
             return pts, field(pts) > heights_flat[cells] * u[:, d + 1]
 
     effective_c = proposal.total_mass / box.volume
-    return _run_chunked(n, seed, propose_and_test, effective_c, finish)
+    return _run_chunked(n, seed, propose_and_test, effective_c)

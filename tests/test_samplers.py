@@ -391,6 +391,17 @@ class TestBudget:
         assert err.value.proposals_drawn >= 1 << 24
         assert (err.value.proposals_drawn, err.value.accepted) == (uniforms_drawn[0] // 2, 0)
 
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_one_thread_counts_the_failing_chunk_alone(self, n, monkeypatch):
+        # gangs of 3 and of 30 chunks, whose later chunks draw beside chunk 0
+        # until it fails; run one at a time, no chunk after it would start
+        field = ScalarField.from_text("(x >= 0.9999999999)", VarOrder(["x"]))
+        target = validate_target(field, Box([(0, 1)]), 1.0)
+        monkeypatch.setenv("RMC_THREADS", "1")
+        with pytest.raises(BudgetExhausted) as err:
+            srmc_sample(target, n, 0)
+        assert (err.value.proposals_drawn, err.value.accepted) == (1 << 24, 0)
+
     def test_rate_below_floor_stops_despite_acceptances(self, monkeypatch):
         # rate 1e-7: a full chunk would need about 4e10 proposals
         field = ScalarField.from_text("(x >= 0.9999999)", VarOrder(["x"]))
@@ -441,6 +452,28 @@ class TestGangFailures:
         # one call for the first round, then the replay one chunk at a time,
         # each from its stream's state before the round
         assert calls[:3] == [[0, 1], [0], [1]]
+
+    @pytest.mark.parametrize("gang", [1, 2, 3])
+    def test_budget_error_does_not_depend_on_gang_size(self, gang, monkeypatch):
+        # chunk 0 accepts its whole first batch; chunks 1 and 2 accept nothing
+        monkeypatch.setattr(samplers, "_gang_size", lambda chunks: gang)
+        monkeypatch.setattr(samplers, "_STOP_AFTER", 1 << 16)
+        monkeypatch.setenv("RMC_THREADS", "1")
+        seed = 5
+        chunk0 = substream(seed, 0).state
+
+        def propose_and_test(draws):
+            rows = sum(batch for _, batch in draws)
+            ok = np.concatenate([np.full(batch, stream.state == chunk0) for stream, batch in draws])
+            for stream, batch in draws:
+                stream.next_u64_block(batch)
+            return np.zeros((rows, 1)), ok
+
+        with pytest.raises(BudgetExhausted) as err:
+            samplers._run_chunked(3 * samplers.CHUNK_ACCEPTS, seed, propose_and_test, 1.0)
+        # chunk 0's 4096 and chunk 1's 2^16, as one chunk at a time; in a gang
+        # of 3, chunk 2 drew beside chunk 1, and those draws are not counted
+        assert (err.value.proposals_drawn, err.value.accepted) == (4096 + (1 << 16), 4096)
 
 
 class TestOrderedMap:
@@ -574,9 +607,12 @@ RUNS = [srmc_sample, grmc_sample, integrator.integrate_screened, integrator.inte
 def test_run_takes_an_integer_seed(run):
     params = inspect.signature(run).parameters
     assert "stream" not in params
-    # the seed is the last positional parameter; options after it are keyword-only
-    positional = [name for name, p in params.items() if p.kind is not p.KEYWORD_ONLY]
-    assert positional[-1] == "seed"
+    if run is srmc_sample:
+        # finish, which integrate_screened passes, is keyword-only
+        assert list(params)[-2:] == ["seed", "finish"]
+        assert params["finish"].kind is params["finish"].KEYWORD_ONLY
+    else:
+        assert list(params)[-1] == "seed"
     assert params["seed"].annotation == "int"
 
 
