@@ -25,10 +25,11 @@ evaluated whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .expression import EvalError, Node
+from .expression import EvalError, Node, _zero_or_one
 from .model import Box, ScalarField, validate_target
 from .randomness import RandomStream, capture_seed, substream, uniform_box_block
 from .samplers import ordered_map, srmc_sample
@@ -73,12 +74,21 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return value, stderr
 
 
-def _in_region(indicator: ScalarField, points: np.ndarray) -> np.ndarray:
-    """The region's indicator at each point, refused unless every value is 0 or 1."""
-    inside = indicator(points)
-    if not np.all((inside == 0.0) | (inside == 1.0)):
-        raise ValueError("region must evaluate to 0 or 1")
-    return inside
+def _region_indicator(region: Node, variables) -> Callable[[np.ndarray], np.ndarray]:
+    """The region's indicator at each point, refused unless every value is
+    0 or 1. A comparison, or an "and" of comparisons, gives only 0.0 or 1.0,
+    so its values are not scanned."""
+    indicator = ScalarField(region, variables)
+    if _zero_or_one(region):
+        return indicator
+
+    def in_region(points: np.ndarray) -> np.ndarray:
+        inside = indicator(points)
+        if not np.all((inside == 0.0) | (inside == 1.0)):
+            raise ValueError("region must evaluate to 0 or 1")
+        return inside
+
+    return in_region
 
 
 def _box_values(value, stream: RandomStream, box: Box, n: int) -> np.ndarray:
@@ -115,13 +125,13 @@ def integrate_screened(
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
-    indicator = ScalarField(region, g.vars)
+    in_region = _region_indicator(region, g.vars)
     target = validate_target(g, box)
     run_seed = capture_seed(seed)
     vol = box.volume
 
     def count_in_region(points: np.ndarray) -> int:
-        return int(np.count_nonzero(_in_region(indicator, points)))
+        return int(np.count_nonzero(in_region(points)))
 
     def one_rep(r: int) -> tuple[float, int, int, int]:
         rs = substream(run_seed, r)
@@ -131,10 +141,10 @@ def integrate_screened(
         except (EvalError, ValueError):
             # a gang's region fault can come before a later gang's sampler
             # fault, and need not be the fault all n samples meet first
-            _in_region(indicator, srmc_sample(target, n, rs.state).points)
+            in_region(srmc_sample(target, n, rs.state).points)
             raise
-        in_region = sum(run.parts)
-        return a * (in_region / n), in_region, run.meta.proposals_drawn, run.meta.accepted
+        count = sum(run.parts)
+        return a * (count / n), count, run.meta.proposals_drawn, run.meta.accepted
 
     results = ordered_map(one_rep, reps)
     values = [r[0] for r in results]
@@ -167,12 +177,12 @@ def integrate_direct(
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
-    indicator = ScalarField(region, g.vars)
+    in_region = _region_indicator(region, g.vars)
     run_seed = capture_seed(seed)
     vol = box.volume
 
     def g_in_region(points: np.ndarray) -> np.ndarray:
-        return g(points) * _in_region(indicator, points)
+        return g(points) * in_region(points)
 
     def one_rep(r: int) -> float:
         return vol * float(np.mean(_box_values(g_in_region, substream(run_seed, r), box, n)))

@@ -7,6 +7,15 @@ platform. Streams are single-owner; parallel work derives one independent
 substream per chunk index instead of sharing a stream across threads, so a
 run's whole random state is its 64-bit seed (capture_seed) plus the index
 of each chunk or replication.
+
+Blocks are generated a piece of at most 2^16 words at a time: the counter
+words of a piece are written first, then the whole piece is mixed, and a
+uniform block converts each piece while it is still in cache. Output i of
+a stream is mix64(state + (i+1)*increment) in whatever block it is drawn,
+so a joined stream (_Joined) that writes several streams' counter words
+one stream after the other lets one pass of the mixer serve them all,
+with each stream's words and final state unchanged. Every word of every
+block passes through RandomStream.next_u64_block.
 """
 from __future__ import annotations
 
@@ -50,8 +59,9 @@ class RandomStream:
 
         Output i is mix64 of state + (i+1)*increment, then the state
         advances by count steps.
-        Words are mixed in pieces of at most 2^16, through one scratch
-        buffer per thread, so the temporaries stay small whatever ``count``.
+        Words are counted and mixed in pieces of at most 2^16, through one
+        scratch buffer per thread, so the temporaries stay small whatever
+        ``count``.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
@@ -65,33 +75,71 @@ class RandomStream:
         for k in range(0, count, _PIECE):
             z = out[k : k + _PIECE]
             t = scratch[: len(z)]
-            np.add(_STEPS[: len(z)], np.uint64((self.state + k * GOLDEN_GAMMA) & MASK64), out=z)
+            self._count(z)
             # mix64, in place
             z ^= np.right_shift(z, 30, out=t)
             z *= _MULT_1
             z ^= np.right_shift(z, 27, out=t)
             z *= _MULT_2
             z ^= np.right_shift(z, 31, out=t)
-        self.state = (self.state + count * GOLDEN_GAMMA) & MASK64
         return out
+
+    def _count(self, z: np.ndarray) -> None:
+        """Write the next len(z) <= _PIECE counter words to z, unmixed, and
+        advance the state past them."""
+        np.add(_STEPS[: len(z)], np.uint64(self.state), out=z)
+        self.state = (self.state + len(z) * GOLDEN_GAMMA) & MASK64
 
     def uniform01_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next ``count`` draws in [0, 1) as float64, written to ``out`` if
         given: the top 53 bits of each word scaled by 2^-53. The words are
-        generated in place and converted in place."""
+        generated and converted in place, one piece of at most 2^16 at a
+        time, so that each piece is converted while it is still in cache."""
         if out is None:
             out = np.empty(count)
-        words = out.view(np.uint64)
-        self.next_u64_block(count, words)
-        words >>= 11
-        # each word is now below 2^53, so it reads the same as int64, whose
-        # cast to float64 is cheaper than uint64's, and the cast is exact
-        np.copyto(out, words.view(np.int64), casting="unsafe")
-        out *= _UNIT_53
+        elif out.shape != (count,):
+            raise ValueError(f"out must have shape ({count},), got {out.shape}")
+        for k in range(0, count, _PIECE):
+            piece = out[k : k + _PIECE]
+            words = self.next_u64_block(len(piece), piece.view(np.uint64))
+            words >>= 11
+            # each word is now below 2^53, so it reads the same as int64, whose
+            # cast to float64 is cheaper than uint64's, and the cast is exact
+            np.copyto(piece, words.view(np.int64), casting="unsafe")
+            piece *= _UNIT_53
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(state=0x{self.state:016X})"
+
+
+class _Joined(RandomStream):
+    """The streams of (stream, words) pairs as one stream: its next words
+    are each stream's next ``words`` words, one stream after the other.
+
+    Drawing from it advances each stream as drawing alone would, and gives
+    the same words, since output i of a stream depends only on its state
+    and i. So one pass of the mixer serves every stream. Its own ``state``
+    is never set, and drawing more words than the pairs hold is an error.
+    """
+
+    __slots__ = ("_left",)
+
+    def __init__(self, draws: list[tuple[RandomStream, int]]):
+        self._left = [[stream, words] for stream, words in draws if words]
+
+    def _count(self, z: np.ndarray) -> None:
+        at = 0
+        while at < len(z):
+            if not self._left:
+                raise ValueError("the joined streams have fewer words left than asked")
+            part = self._left[0]
+            take = min(part[1], len(z) - at)
+            part[0]._count(z[at : at + take])
+            at += take
+            part[1] -= take
+            if not part[1]:
+                del self._left[0]
 
 
 def capture_seed(seed: int) -> int:
@@ -134,8 +182,8 @@ def scale_to_box(
     ``out`` if given, is a column-major (n, d) array, filled one column at
     a time: the broadcast runs a length-d inner loop per row, several times
     slower for small d, and an expression reads each variable's column
-    contiguously. Row selections such as ``pts[rows]`` come back
-    C-contiguous.
+    contiguously. The samplers gather accepted rows column by column, so
+    their points stay column-major too.
     """
     d = len(widths)
     pts = np.empty((d, u.shape[0])).T if out is None else out

@@ -14,21 +14,24 @@ CPUs this process may run on) is the only worker control.
 
 Consecutive chunks run as gangs, about eight per worker. A gang advances
 its chunks in rounds: each live chunk sizes its next batch from its own
-counts and draws it from its own substream, and up to 2^17 of the round's
-proposals are then scaled, evaluated, tested and searched for acceptances
-in one set of numpy calls. So the calls are long enough for the worker
-threads to share the interpreter lock, and each chunk's draws, trim and
-counts are those of the chunk run alone. When several chunks fail, the run
-raises the failure of the first in chunk order, as the chunks run one at a
-time would.
+counts, and up to 2^17 of the round's proposals are drawn, scaled,
+evaluated, tested and searched for acceptances in one set of numpy calls.
+The draw takes each chunk's batch from its own substream, through one
+joined stream (randomness._Joined), and the accepted rows are gathered
+one column at a time, so the gang's points stay column-major. So the calls
+are long enough for the worker threads to share the interpreter lock, and
+each chunk's draws, trim and counts are those of the chunk run alone. When
+several chunks fail, the run raises the failure of the first in chunk
+order, as the chunks run one at a time would.
 
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
 hours. Only the first unfinished chunk of a gang draws past its share of
 that budget, so a hopeless gang draws at most about twice one chunk's. The
-error counts the proposals of every chunk that ran, less those of the
-chunks a gang dropped after its failing chunk: at one worker, the count of
-the chunks run one at a time.
+error counts the proposals of the chunks up to and including the first
+failing one in chunk order, which are those of the chunks run one at a
+time, at any worker count; the draws of the chunks after it, which other
+threads or its own gang may have run, are not counted.
 
 Gangs, the integrator's replications and the CSV and SVG writers' blocks
 run through ordered_map, the one parallel map of the package. A call made
@@ -50,7 +53,7 @@ import numpy as np
 from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
 # re-exported: bench/tracer.py wraps it under this module's name
 from .model import estimate_bound_argmax
-from .randomness import RandomStream, capture_seed, scale_to_box, substream
+from .randomness import RandomStream, _Joined, capture_seed, scale_to_box, substream
 
 __all__ = [
     "estimate_bound_argmax",
@@ -159,7 +162,11 @@ def ordered_map(fn: Callable[[int], object], count: int) -> list:
 
 
 class _ChunkBudgetExceeded(Exception):
-    pass
+    """Chunk ``index`` ran out of budget."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
 
 
 class _Workspace(threading.local):
@@ -182,14 +189,15 @@ class _Workspace(threading.local):
 
     def uniforms(self, draws: list[tuple[RandomStream, int]], width: int) -> np.ndarray:
         """The next ``batch`` rows of ``width`` fresh uniforms from each
-        (stream, batch) of draws, one draw after the other, as one block."""
+        (stream, batch) of draws, one draw after the other, as one block
+        drawn in one uniform01_block call."""
         rows = sum(batch for _, batch in draws)
         u = self.take("u", rows * width)
-        start = 0
-        for stream, batch in draws:
-            stop = start + batch * width
-            stream.uniform01_block(batch * width, out=u[start:stop])
-            start = stop
+        if len(draws) == 1:
+            stream = draws[0][0]
+        else:
+            stream = _Joined([(stream, batch * width) for stream, batch in draws])
+        stream.uniform01_block(rows * width, out=u)
         return u.reshape(rows, width)
 
     def columns(self, name: str, batch: int, d: int) -> np.ndarray:
@@ -206,15 +214,15 @@ def _next_batch_size(target: int, accepted: int, proposed: int) -> int:
 
 
 class _Chunk:
-    """The sequential rejection loop of one chunk, one batch at a time.
+    """The sequential rejection loop of chunk ``index``, one batch at a time.
 
     ``tally`` is the chunk's [proposals, accepted], which only this chunk
     and its gang write; it is current after every batch, also when the
-    chunk fails, and zero once the gang has dropped the chunk.
+    chunk fails.
     """
 
-    def __init__(self, stream: RandomStream, n: int, tally: list[int]):
-        self.stream, self.n, self.tally = stream, n, tally
+    def __init__(self, index: int, stream: RandomStream, n: int, tally: list[int]):
+        self.index, self.stream, self.n, self.tally = index, stream, n, tally
         self.taken: list[np.ndarray] = []
 
     @property
@@ -263,9 +271,15 @@ def _rounds(live: list[_Chunk], patience: int):
 
 def _keep(group: list[tuple[_Chunk, int]], pts: np.ndarray, ok: np.ndarray) -> _Chunk | None:
     """Hand each (chunk, batch) of group its share of the tested block of
-    their batches. Returns the first chunk that ran out of budget, or None."""
+    their batches. Returns the first chunk that ran out of budget, or None.
+
+    The accepted rows are gathered one column at a time into a column-major
+    block, so each column of the gang's points stays contiguous."""
     hits = np.flatnonzero(ok)
-    rows = pts[hits]
+    rows = np.empty((pts.shape[1], len(hits))).T
+    for i in range(pts.shape[1]):
+        # hits are in range; take buffers ``out`` unless mode is not "raise"
+        np.take(pts[:, i], hits, out=rows[:, i], mode="clip")
     starts = [0, *itertools.accumulate(batch for _, batch in group)]
     bounds = np.searchsorted(hits, starts).tolist()
     over = None
@@ -295,10 +309,10 @@ def _advance(group: list[tuple[_Chunk, int]], propose_and_test):
             except Exception as exc:
                 return chunk, exc
             if _keep([(chunk, batch)], pts, ok) is not None:
-                return chunk, _ChunkBudgetExceeded()
+                return chunk, _ChunkBudgetExceeded(chunk.index)
         return None
     over = _keep(group, pts, ok)
-    return None if over is None else (over, _ChunkBudgetExceeded())
+    return None if over is None else (over, _ChunkBudgetExceeded(over.index))
 
 
 def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
@@ -309,12 +323,9 @@ def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
 
     A chunk that fails drops the chunks after it, and the chunks before it
     run on; at the end the failure of the first chunk that failed is
-    raised, as the chunks run one at a time would raise it. The dropped
-    chunks' tallies are zeroed, since those chunks would not have started,
-    so a budget failure counts what the chunks run one at a time count.
-    Only the first live chunk draws past its share of one chunk's budget,
-    so a hopeless gang draws at most about twice what one chunk may before
-    it fails.
+    raised, as the chunks run one at a time would raise it. Only the first
+    live chunk draws past its share of one chunk's budget, so a hopeless
+    gang draws at most about twice what one chunk may before it fails.
     """
     live, culprit, failure = chunks, None, None
     patience = _STOP_AFTER // len(chunks)
@@ -327,8 +338,6 @@ def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
                 break
         live = [chunk for chunk in live if not chunk.done]
     if failure is not None:
-        for chunk in chunks[chunks.index(culprit) + 1 :]:
-            chunk.tally[:] = 0, 0
         raise failure
     return [rows for chunk in chunks for rows in chunk.taken]
 
@@ -360,7 +369,7 @@ def _run_chunked(
 
     def work(g: int):
         chunks = [
-            _Chunk(substream(run_seed, i), sizes[i], tallies[i])
+            _Chunk(i, substream(run_seed, i), sizes[i], tallies[i])
             for i in range(g * gang, min(len(sizes), (g + 1) * gang))
         ]
         points = np.concatenate(_run_gang(chunks, propose_and_test), axis=0)
@@ -368,12 +377,13 @@ def _run_chunked(
 
     try:
         parts = ordered_map(work, -(-len(sizes) // gang))
-    except _ChunkBudgetExceeded:
-        parts = None
-    # ordered_map has joined every call that ran, so no tally changes now
-    proposals, accepted = (sum(column) for column in zip(*tallies))
-    if parts is None:
-        raise BudgetExhausted(proposals, accepted, n)
+    except _ChunkBudgetExceeded as exc:
+        # the chunks before the failing one have finished, and the chunks
+        # after it, which other threads may have run, are not counted: the
+        # counts of the chunks run one at a time, at any worker count
+        proposals, accepted = (sum(column) for column in zip(*tallies[: exc.index + 1]))
+        raise BudgetExhausted(proposals, accepted, n) from None
+    proposals = sum(tally[0] for tally in tallies)
     meta = RunMetadata(seed=run_seed, proposals_drawn=proposals, accepted=n, bound_c=bound_for_meta)
     if finish is not None:
         return _FinishedRun(parts=parts, meta=meta)

@@ -10,16 +10,20 @@ value of 1, 2 or 3. Each case runs srmc_sample, grmc_sample with one cell
 and with several, integrate_screened and integrate_direct. Some targets
 fault on a thin slice of the box, or in the region there, so that only
 some chunks, pieces or gangs meet the fault; one target has a running
-acceptance rate near the budget's floor, which the sweep raises for it,
-so that only some chunks exhaust their budget.
+acceptance rate around the budget's floor, which the sweep raises for it,
+so that some or all of its chunks exhaust their budget.
 
 Each outcome is the points' bits and proposals_drawn, the estimate's
-fields, or the error's type and message. A BudgetExhausted outcome is its
-type and requested_n alone: its proposal count sums the chunks that ran,
-and which chunks ran depends on the thread count and on the revision.
-Prints the counts of equal outcomes, of results and of errors, and each
-differing case up to ten; exits 1 when any outcome differs. pytest does
-not collect this file.
+fields, or the error's type and message. A run of this checkout that
+fails is run again at RMC_THREADS=1 and 2, and must fail with the same
+message, BudgetExhausted's counts included, at every worker count.
+
+Prints the counts of equal outcomes, of results and of errors, then each
+kind of difference with up to ten of its cases: results or errors that
+differ, BudgetExhausted messages that differ only in their counts (against
+a revision that counted other chunks), and failures of this checkout whose
+message depends on the worker count. Exits 1 when there is any difference.
+pytest does not collect this file.
 """
 import dataclasses
 import hashlib
@@ -27,6 +31,7 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,7 +74,9 @@ TARGETS = [
         ("x", "y"), ((0, 4), (0, 2)), "x*y", 8.8,
         "log(4 - {eps}/10 - x) < 2 and sqrt(2 - {eps} - y) >= 0", 330_000,
     ),
-    # acceptance near 5%, so some chunks fall under the floor after 2^15 proposals
+    # acceptance 1% to 7% against a floor of 5% after 2^15 proposals: below
+    # about 4%, every chunk fails, and several fail at once on several
+    # threads; nearer 5%, only some chunks do
     Target(("x",), ((0, 1),), "(x >= 1 - {eps})", 1.0, "x > 0.5", 30_000, (1 << 15, 0.05)),
 ]
 
@@ -104,8 +111,6 @@ def digest(points: np.ndarray) -> str:
 def outcome(module, run):
     try:
         result = run()
-    except module.BudgetExhausted as exc:
-        return "error", "BudgetExhausted", exc.requested_n
     except Exception as exc:
         return "error", type(exc).__name__, str(exc)
     if isinstance(result, module.SampleBatch):
@@ -157,17 +162,18 @@ def main() -> int:
     rng = random.Random(int(sys.argv[3]) if len(sys.argv) > 3 else 2024)
     other = load(rev)
     counts = {"equal": 0, "ok": 0, "error": 0}
-    differ = []
+    differ, budget_counts, threads_differ = [], [], []
     for _ in range(count):
         target = rng.choice(TARGETS)
-        eps = 10 ** rng.uniform(-6.5, -3.5) if target.floor is None else rng.uniform(0.04, 0.07)
+        eps = 10 ** rng.uniform(-6.5, -3.5) if target.floor is None else rng.uniform(0.01, 0.07)
         n = min(target.max_n, int(math.exp(rng.uniform(0, math.log(target.max_n)))))
         seed = rng.randrange(1 << 64)
         bins = rng.randint(2, 5)
         reps = rng.randint(1, 3)
-        os.environ["RMC_THREADS"] = str(rng.randint(1, 3))
+        threads = str(rng.randint(1, 3))
+        os.environ["RMC_THREADS"] = threads
         case = f"{target.density.format(eps=eps)!r} n={n} seed={seed} bins={bins} reps={reps} " \
-               f"RMC_THREADS={os.environ['RMC_THREADS']}"
+               f"RMC_THREADS={threads}"
         pairs = zip(
             runs(other, target, eps, n, seed, bins, reps),
             runs(rejmc, target, eps, n, seed, bins, reps),
@@ -178,14 +184,35 @@ def main() -> int:
             if repr(old) == repr(new):
                 counts["equal"] += 1
                 counts[old[0]] += 1
+            elif old[1] == new[1] == "BudgetExhausted" and budget_key(old) == budget_key(new):
+                budget_counts.append((f"{name}: {case}", old, new))
             else:
                 differ.append((f"{name}: {case}", old, new))
+            if new[0] == "error":
+                for again in ("1", "2"):
+                    os.environ["RMC_THREADS"] = again
+                    other_threads = with_floor(rejmc, target.floor, new_run)
+                    if repr(other_threads) != repr(new):
+                        threads_differ.append(
+                            (f"{name}: {case}", new, f"RMC_THREADS={again}: {other_threads}")
+                        )
+                os.environ["RMC_THREADS"] = threads
     print(f"{count} cases, {5 * count} runs (srmc, grmc one cell and several, both integrators)")
     print(f"equal outcomes: {counts['equal']} ({counts['ok']} results, {counts['error']} errors)")
-    print(f"different outcomes: {len(differ)}")
-    for text, old, new in differ[:10]:
-        print(f"    {text}\n        {rev}: {old}\n        here: {new}")
-    return 1 if differ else 0
+    for title, cases, (first, second) in [
+        ("different outcomes", differ, (rev, "here")),
+        ("BudgetExhausted counts different", budget_counts, (rev, "here")),
+        ("failures here that depend on the worker count", threads_differ, ("here", "again")),
+    ]:
+        print(f"{title}: {len(cases)}")
+        for text, old, new in cases[:10]:
+            print(f"    {text}\n        {first}: {old}\n        {second}: {new}")
+    return 1 if differ or budget_counts or threads_differ else 0
+
+
+def budget_key(outcome) -> str:
+    """A BudgetExhausted message without its counts and rate."""
+    return re.sub(r"after \d+ proposals with \d+/| \(running .*", "", outcome[2])
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -18,6 +19,10 @@ from conftest import GAUSS_DENSITY, GAUSS_MAX, SINE_CDF, SINE_DENSITY, subproces
 SINE_BOX = "0.7853981633974483:2.356194490192345"
 BOUND_ARGS = ["bound", "--density", "x*y", "--vars", "x,y", "--box", "0:1,0:1"]
 THREAD_COUNTS = ["abc", "2.5", "0", "-3"]
+# no proposal is ever accepted: each of the 25 chunks exhausts its budget
+HOPELESS_ARGS = [
+    "sample", "--density", "(x >= 0.9999999999)", "--vars", "x", "--box", "0:1", "--n", "100000",
+]
 
 
 def run(args, tmp_path, monkeypatch, env=None):
@@ -386,13 +391,31 @@ class TestExitCodes:
     def test_zero_acceptance_on_two_threads_starts_no_third_chunk(
         self, tmp_path, monkeypatch, capsys
     ):
-        args = [
-            "sample", "--density", "(x >= 0.9999999999)", "--vars", "x", "--box", "0:1",
-            "--n", "100000",
-        ]
-        assert run(args, tmp_path, monkeypatch, env={"RMC_THREADS": "2"}) == 3
-        # chunks 0 and 1 each give up at 2^24 proposals; none of the other 23 starts
-        assert "after 33554432 proposals with 0/100000 accepted" in capsys.readouterr().err
+        lock = threading.Lock()
+        built = []
+        build = samplers.substream
+
+        def recording(seed, chunk):
+            with lock:
+                built.append(chunk)
+            return build(seed, chunk)
+
+        monkeypatch.setattr(samplers, "substream", recording)
+        assert run(HOPELESS_ARGS, tmp_path, monkeypatch, env={"RMC_THREADS": "2"}) == 3
+        # chunks 0 and 1 each give up at 2^24 proposals; none of the other 23
+        # starts, and the message counts chunk 0 alone
+        assert sorted(built) == [0, 1]
+        assert "after 16777216 proposals with 0/100000 accepted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_budget_message_does_not_depend_on_thread_count(
+        self, threads, tmp_path, monkeypatch, capsys
+    ):
+        assert run(HOPELESS_ARGS, tmp_path, monkeypatch, env={"RMC_THREADS": threads}) == 3
+        assert capsys.readouterr().err == (
+            "rejmc: proposal budget exhausted after 16777216 proposals with 0/100000 "
+            "accepted (running acceptance rate 0)\n"
+        )
 
     @pytest.mark.parametrize(
         "command, value",

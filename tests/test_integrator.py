@@ -178,3 +178,11 @@ class TestInvariants:
             integrate_screened(product_field, region, product_box, 0, 1, 1)
         with pytest.raises(ValueError):
             integrate_direct(product_field, region, product_box, 10, 0, 1)
+
+    @pytest.mark.parametrize("integrate", [integrate_screened, integrate_direct])
+    @pytest.mark.parametrize("text", ["(x > 0.5) * 2", "(x > 0.5) + (y > 0.5)"])
+    def test_region_that_is_not_0_or_1_refused(self, integrate, text, product_field, product_box):
+        # a product or sum of comparisons is not a comparison, so its values
+        # are still scanned: 2.0 on half the box, and 2.0 where both hold
+        with pytest.raises(ValueError, match="region must evaluate to 0 or 1"):
+            integrate(product_field, parse(text, product_field.vars), product_box, 2000, 2, 1)

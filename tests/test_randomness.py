@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rejmc import Box
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, mix64, substream, uniform_box_block
+from rejmc.randomness import _PIECE, _Joined
 from conftest import next_u64, uniform01
 
 
@@ -173,3 +175,34 @@ def test_substream_merge_invariant_to_interleaving():
     merged = [np.array(drawn[k]) for k in range(4)]
     for a, b in zip(chunks, merged):
         assert np.array_equal(a, b)
+
+
+# word counts of 1, of one piece, and of sizes that end inside a piece, so
+# that the streams' words cross the pieces of the joined block
+WORDS = st.one_of(st.sampled_from([1, _PIECE]), st.integers(2, _PIECE + 5))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**64 - 1), WORDS), min_size=1, max_size=6),
+    st.booleans(),
+)
+@example([(1, _PIECE - 3), (2, 7), (3, 1)], False)
+@example([(1, _PIECE - 3), (2, 7), (3, 1)], True)
+def test_joined_streams_draw_as_each_stream_alone(draws, uniforms):
+    streams = [RandomStream(seed) for seed, _ in draws]
+    joined = _Joined([(stream, words) for stream, (_, words) in zip(streams, draws)])
+    total = sum(words for _, words in draws)
+    alone = [RandomStream(seed) for seed, _ in draws]
+    if uniforms:
+        got = joined.uniform01_block(total).view(np.uint64).tolist()
+        want = np.array(
+            [uniform01(s) for s, (_, words) in zip(alone, draws) for _ in range(words)]
+        ).view(np.uint64).tolist()
+    else:
+        got = joined.next_u64_block(total).tolist()
+        want = [next_u64(s) for s, (_, words) in zip(alone, draws) for _ in range(words)]
+    assert got == want
+    assert [s.state for s in streams] == [s.state for s in alone]
+    with pytest.raises(ValueError, match="fewer words left than asked"):
+        joined.next_u64_block(1)
