@@ -18,9 +18,9 @@ No replication holds an n-row matrix. Both estimators draw their uniform
 batch _PIECE points at a time into one array of n values, whose mean is
 the whole batch's, bit for bit; the screened estimator counts each gang's
 in-region samples as the sampler finishes the gang, and the integer sum is
-exact in any grouping. When a piece or a gang faults, the replication is
-evaluated again all at once, so that it raises the error it would raise
-evaluated whole.
+exact in any grouping. A replication raises what the first faulting row
+raises evaluated alone, in the order of one row at a time: the uniform
+batch, then each proposal and each accepted sample's region value.
 """
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .expression import EvalError, Node, _zero_or_one
+from .expression import Node, _zero_or_one
 from .model import Box, ScalarField, validate_target
 from .randomness import RandomStream, capture_seed, substream, uniform_box_block
-from .samplers import ordered_map, srmc_sample
+from .samplers import _first_fault, ordered_map, srmc_sample
 
 # rows of the uniform batch drawn and evaluated at once
 _PIECE = 1 << 14
@@ -91,20 +91,21 @@ def _region_indicator(region: Node, variables) -> Callable[[np.ndarray], np.ndar
     return in_region
 
 
+def _values(fn, points: np.ndarray) -> np.ndarray:
+    """fn(points), or the error of the first row that faults evaluated alone."""
+    values, fault = _first_fault(lambda rows: fn(points[rows]), len(points))
+    if fault is not None:
+        raise fault
+    return values
+
+
 def _box_values(value, stream: RandomStream, box: Box, n: int) -> np.ndarray:
     """value(points) for points = uniform_box_block(stream, box, n), with the
     same bits and stream use, drawn and evaluated _PIECE rows at a time."""
-    start = stream.state
     out = np.empty(n)
-    try:
-        for lo in range(0, n, _PIECE):
-            hi = min(n, lo + _PIECE)
-            out[lo:hi] = value(uniform_box_block(stream, box, hi - lo))
-    except Exception:
-        # which check fires first can depend on the other pieces' points
-        stream.state = start
-        value(uniform_box_block(stream, box, n))
-        raise
+    for lo in range(0, n, _PIECE):
+        hi = min(n, lo + _PIECE)
+        out[lo:hi] = _values(value, uniform_box_block(stream, box, hi - lo))
     return out
 
 
@@ -131,18 +132,12 @@ def integrate_screened(
     vol = box.volume
 
     def count_in_region(points: np.ndarray) -> int:
-        return int(np.count_nonzero(in_region(points)))
+        return int(np.count_nonzero(_values(in_region, points)))
 
     def one_rep(r: int) -> tuple[float, int, int, int]:
         rs = substream(run_seed, r)
         a = vol * float(np.mean(_box_values(g, rs, box, n)))
-        try:
-            run = srmc_sample(target, n, rs.state, finish=count_in_region)
-        except (EvalError, ValueError):
-            # a gang's region fault can come before a later gang's sampler
-            # fault, and need not be the fault all n samples meet first
-            in_region(srmc_sample(target, n, rs.state).points)
-            raise
+        run = srmc_sample(target, n, rs.state, finish=count_in_region)
         count = sum(run.parts)
         return a * (count / n), count, run.meta.proposals_drawn, run.meta.accepted
 

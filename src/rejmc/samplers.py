@@ -20,9 +20,10 @@ The draw takes each chunk's batch from its own substream, through one
 joined stream (randomness._Joined), and the accepted rows are gathered
 one column at a time, so the gang's points stay column-major. So the calls
 are long enough for the worker threads to share the interpreter lock, and
-each chunk's draws, trim and counts are those of the chunk run alone. When
-several chunks fail, the run raises the failure of the first in chunk
-order, as the chunks run one at a time would.
+each chunk's draws, trim and counts are those of the chunk run alone. A
+run raises what its first faulting proposal, in the order of the chunks
+run one at a time, raises evaluated alone (_first_fault finds it); a
+fault after its chunk is done does not fail the run.
 
 A chunk that has drawn at least 2^24 proposals at a running acceptance rate
 below 1e-6 fails the run loudly with BudgetExhausted instead of looping for
@@ -50,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 
+from .expression import EvalError
 from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
 # re-exported: bench/tracer.py wraps it under this module's name
 from .model import estimate_bound_argmax
@@ -269,6 +271,28 @@ def _rounds(live: list[_Chunk], patience: int):
     yield group
 
 
+def _first_fault(fn, rows: int):
+    """(fn(slice(0, rows)), None), or, if that raises, (fn(slice(0, r)),
+    error) for the first row r that raises ``error`` evaluated alone. r is
+    found by bisection: fn is elementwise, as the evaluator is, so a prefix
+    raises if and only if one of its rows does."""
+    try:
+        return fn(slice(0, rows)), None
+    except (EvalError, ValueError):
+        good, values, bad = 0, fn(slice(0, 0)), rows
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            good, values = mid, fn(slice(0, mid))
+        except (EvalError, ValueError):
+            bad = mid
+    try:
+        fn(slice(good, bad))
+    except (EvalError, ValueError) as exc:
+        return values, exc
+    raise AssertionError("a prefix raised, but none of its rows alone")
+
+
 def _keep(group: list[tuple[_Chunk, int]], pts: np.ndarray, ok: np.ndarray) -> _Chunk | None:
     """Hand each (chunk, batch) of group its share of the tested block of
     their batches. Returns the first chunk that ran out of budget, or None.
@@ -293,39 +317,37 @@ def _keep(group: list[tuple[_Chunk, int]], pts: np.ndarray, ok: np.ndarray) -> _
 def _advance(group: list[tuple[_Chunk, int]], propose_and_test):
     """Draw and test the next batch of each (chunk, batch) of group, all in
     one propose_and_test call. Returns None, or (chunk, exception) for the
-    first chunk of group that failed."""
+    first chunk of group that failed. At a fault, the chunk of the first
+    faulting proposal takes in the ones before it and fails unless they
+    complete it; the chunks after it redraw the same batch next round."""
     states = [chunk.stream.state for chunk, _ in group]
-    try:
-        pts, ok = propose_and_test([(chunk.stream, batch) for chunk, batch in group])
-    except Exception:
-        # which check of the evaluation fires first can depend on the other
-        # chunks' points, so replay the batches one chunk at a time: the
-        # first faulting chunk raises what it raises alone
-        for (chunk, _), state in zip(group, states):
+    pts, test = propose_and_test([(chunk.stream, batch) for chunk, batch in group])
+    ok, fault = _first_fault(test, len(pts))
+    if fault is not None:
+        ends = list(itertools.accumulate(batch for _, batch in group))
+        k = int(np.searchsorted(ends, len(ok), side="right"))
+        for (chunk, _), state in zip(group[k + 1 :], states[k + 1 :]):
+            # splitmix64 is counter-based: the same state redraws the same words
             chunk.stream.state = state
-        for chunk, batch in group:
-            try:
-                pts, ok = propose_and_test([(chunk.stream, batch)])
-            except Exception as exc:
-                return chunk, exc
-            if _keep([(chunk, batch)], pts, ok) is not None:
-                return chunk, _ChunkBudgetExceeded(chunk.index)
-        return None
+        culprit, batch = group[k]
+        group = [*group[:k], (culprit, len(ok) - ends[k] + batch)]
     over = _keep(group, pts, ok)
+    if fault is not None and over in (None, culprit):
+        return None if culprit.done else (culprit, fault)
     return None if over is None else (over, _ChunkBudgetExceeded(over.index))
 
 
-def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
-    """The accepted rows of consecutive chunks, in chunk order, from their
-    rejection loops run together: in each round every live chunk draws its
-    next batch from its own stream, and each run of batches from _rounds is
-    tested in one propose_and_test call.
+def _run_gang(chunks: list[_Chunk], propose_and_test):
+    """(accepted rows, failure) of consecutive chunks from their rejection
+    loops run together: in each round every live chunk draws its next batch
+    from its own stream, and each run of batches from _rounds is tested in
+    one propose_and_test call.
 
     A chunk that fails drops the chunks after it, and the chunks before it
-    run on; at the end the failure of the first chunk that failed is
-    raised, as the chunks run one at a time would raise it. Only the first
-    live chunk draws past its share of one chunk's budget, so a hopeless
-    gang draws at most about twice what one chunk may before it fails.
+    run on. failure is the first failing chunk's, or None, and the rows are
+    those accepted before it, in chunk order. Only the first live chunk
+    draws past its share of one chunk's budget, so a hopeless gang draws at
+    most about twice what one chunk may before it fails.
     """
     live, culprit, failure = chunks, None, None
     patience = _STOP_AFTER // len(chunks)
@@ -337,9 +359,8 @@ def _run_gang(chunks: list[_Chunk], propose_and_test) -> list[np.ndarray]:
                 live = live[: live.index(culprit)]
                 break
         live = [chunk for chunk in live if not chunk.done]
-    if failure is not None:
-        raise failure
-    return [rows for chunk in chunks for rows in chunk.taken]
+    kept = chunks if culprit is None else chunks[: chunks.index(culprit) + 1]
+    return [rows for chunk in kept for rows in chunk.taken], failure
 
 
 def _gang_size(chunks: int) -> int:
@@ -372,8 +393,12 @@ def _run_chunked(
             _Chunk(i, substream(run_seed, i), sizes[i], tallies[i])
             for i in range(g * gang, min(len(sizes), (g + 1) * gang))
         ]
-        points = np.concatenate(_run_gang(chunks, propose_and_test), axis=0)
-        return points if finish is None else finish(points)
+        taken, failure = _run_gang(chunks, propose_and_test)
+        points = np.concatenate(taken, axis=0)
+        part = points if finish is None else finish(points)
+        if failure is not None:
+            raise failure
+        return part
 
     try:
         parts = ordered_map(work, -(-len(sizes) // gang))
@@ -400,7 +425,7 @@ def _uniform_box_test(field: ScalarField, box: Box, c: float):
     def propose_and_test(draws: list[tuple[RandomStream, int]]):
         u = ws.uniforms(draws, d + 1)
         pts = scale_to_box(u, lower, widths, out=ws.columns("pts", len(u), d))
-        return pts, field(pts) > c * u[:, d]
+        return pts, lambda rows: field(pts[rows]) > c * u[rows, d]
 
     return propose_and_test
 
@@ -453,7 +478,7 @@ def grmc_sample(
             cells = np.searchsorted(cum, u[:, 0], side="right")
             lows = proposal.cell_lower(cells, out=ws.columns("lows", batch, d))
             pts = scale_to_box(u[:, 1:], lows, cell_widths, out=ws.columns("pts", batch, d))
-            return pts, field(pts) > heights_flat[cells] * u[:, d + 1]
+            return pts, lambda rows: field(pts[rows]) > heights_flat[cells[rows]] * u[rows, d + 1]
 
     effective_c = proposal.total_mass / box.volume
     return _run_chunked(n, seed, propose_and_test, effective_c)

@@ -2,11 +2,13 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rejmc
-from rejmc import Box, ScalarField, VarOrder
-from rejmc.randomness import GOLDEN_GAMMA, MASK64, mix64
+from rejmc import Box, EvalError, ScalarField, TargetSpec, VarOrder, validate_target
+from rejmc.randomness import GOLDEN_GAMMA, MASK64, capture_seed, mix64, substream
+from rejmc.randomness import uniform_box_block
 
 # canonical test targets used across the suite
 SINE_DENSITY = "sin(x)/sqrt(2)"
@@ -40,6 +42,120 @@ def uniform01(stream):
     """One draw in [0, 1) from a RandomStream: the top 53 bits of one word
     scaled by 2^-53, as uniform01_block makes each of its draws."""
     return (next_u64(stream) >> 11) * 2.0**-53
+
+
+def rows_alone(fn, points, block=1024):
+    """(values, error): fn at each row of points as evaluated alone, up to
+    the first row that raises, and that row's error, or None. Blocks of
+    ``block`` rows are evaluated at once, and a block that raises row by
+    row, which gives the same values: fn is elementwise."""
+    values = []
+    for lo in range(0, len(points), block):
+        try:
+            values.extend(fn(points[lo : lo + block]))
+        except (EvalError, ValueError):
+            for x in points[lo : lo + block]:
+                try:
+                    values.append(fn(x.reshape(1, -1))[0])
+                except (EvalError, ValueError) as exc:
+                    return values, exc
+    return values, None
+
+
+def one_proposal_loop(field, propose, width, n, seed, on_accept=None):
+    """The simplified rejection algorithm one proposal at a time: the frozen
+    reference of the samplers' outcomes. Chunk i of 4096 acceptances runs on
+    substream(seed, i), the chunks one after the other. propose(u) turns
+    rows of ``width`` uniforms into proposals (x, y); x is accepted iff
+    f(x) > y, with f(x) as x evaluates alone, and on_accept(x) runs as x is
+    accepted. The uniforms of 1024 proposals are drawn at once, and those
+    after the chunk is done are never tested. Returns (points, proposals);
+    the first faulting proposal tested raises. There is no budget stop."""
+    points, proposals = [], 0
+    for i, start in enumerate(range(0, n, 4096)):
+        stream, end = substream(capture_seed(seed), i), min(n, start + 4096)
+        while len(points) < end:
+            xs, ys = propose(stream.uniform01_block(1024 * width).reshape(1024, width))
+            values, fault = rows_alone(field, xs)
+            for x, y, value in zip(xs, ys, values):
+                proposals += 1
+                if value > y:
+                    if on_accept is not None:
+                        on_accept(x)
+                    points.append(x)
+                    if len(points) == end:
+                        break
+            else:
+                if fault is not None:
+                    raise fault
+    return np.array(points).reshape(n, field.dims), proposals
+
+
+def srmc_reference(target, n, seed, on_accept=None):
+    """srmc_sample's (points, proposals), one proposal at a time."""
+    box, d = target.support, target.support.dims
+
+    def propose(u):
+        return box.lower + u[:, :d] * box.widths, target.bound_c * u[:, d]
+
+    return one_proposal_loop(target.field, propose, d + 1, n, seed, on_accept)
+
+
+def grmc_reference(field, proposal, n, seed):
+    """grmc_sample's (points, proposals), one proposal at a time: a cell
+    selector, the coordinates, then y. One cell is srmc at its height."""
+    box, d = proposal.box, proposal.box.dims
+    heights = proposal.heights.ravel()
+    if proposal.cell_count == 1:
+        return srmc_reference(TargetSpec(field, box, float(heights[0])), n, seed)
+
+    def propose(u):
+        cells = np.searchsorted(proposal.cumulative, u[:, 0], side="right")
+        lows = proposal.cell_lower(cells)
+        return lows + u[:, 1 : d + 1] * proposal.cell_widths, heights[cells] * u[:, d + 1]
+
+    return one_proposal_loop(field, propose, d + 2, n, seed)
+
+
+def region_values(indicator):
+    """The region's values, refused unless each is 0 or 1."""
+
+    def values(points):
+        inside = indicator(points)
+        if not np.all((inside == 0.0) | (inside == 1.0)):
+            raise ValueError("region must evaluate to 0 or 1")
+        return inside
+
+    return values
+
+
+def integrate_reference(screened, g, region, box, n, reps, seed):
+    """(per-replication values, in-region count, proposals, accepted) of
+    integrate_screened, or of integrate_direct, one row at a time: each
+    replication's uniform batch with each point as evaluated alone, then,
+    screened, the sampler's proposals with each accepted sample's region
+    value as it is accepted. The first row that faults raises."""
+    in_region = region_values(ScalarField(region, g.vars))
+    target = validate_target(g, box) if screened else None
+    values, inside, proposals = [], 0, 0
+    for r in range(reps):
+        stream = substream(capture_seed(seed), r)
+        points = uniform_box_block(stream, box, n)
+        batch, fault = rows_alone(g if screened else lambda p: g(p) * in_region(p), points)
+        if fault is not None:
+            raise fault
+        a = box.volume * float(np.mean(batch))
+        if not screened:
+            values.append(a)
+            continue
+        hits = []
+        _, drawn = srmc_reference(
+            target, n, stream.state, lambda x: hits.append(in_region(x.reshape(1, -1))[0])
+        )
+        count = int(np.count_nonzero(hits))
+        values.append(a * (count / n))
+        inside, proposals = inside + count, proposals + drawn
+    return values, inside, proposals, n * reps if screened else 0
 
 
 def subprocess_env():

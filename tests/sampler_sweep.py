@@ -16,14 +16,18 @@ so that some or all of its chunks exhaust their budget.
 Each outcome is the points' bits and proposals_drawn, the estimate's
 fields, or the error's type and message. A run of this checkout that
 fails is run again at RMC_THREADS=1 and 2, and must fail with the same
-message, BudgetExhausted's counts included, at every worker count.
+message, BudgetExhausted's counts included, at every worker count. A case
+with n <= 9000 and no raised budget floor is also run by the one-proposal
+references of tests/conftest.py, which have no budget stop, and each of
+this checkout's outcomes must equal the reference's.
 
 Prints the counts of equal outcomes, of results and of errors, then each
 kind of difference with up to ten of its cases: results or errors that
 differ, BudgetExhausted messages that differ only in their counts (against
-a revision that counted other chunks), and failures of this checkout whose
-message depends on the worker count. Exits 1 when there is any difference.
-pytest does not collect this file.
+a revision that counted other chunks), failures of this checkout whose
+message depends on the worker count, and outcomes of this checkout that
+differ from the one-proposal reference. Exits 1 when there is any
+difference. pytest does not collect this file.
 """
 import dataclasses
 import hashlib
@@ -40,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 import rejmc
+from conftest import grmc_reference, integrate_reference, srmc_reference
 
 GAUSS2D = "exp(-(x^2+y^2-0.4*x*y)/1.92)/6.1563"
 TRIG3D = "exp(-2*(x^2+y^2+z^2)) * (1 + cos(3*x)*cos(3*y)*sin(2*z+1))"
@@ -119,6 +124,44 @@ def outcome(module, run):
     return "ok", repr(fields)
 
 
+def numbers(run):
+    """run()'s points and proposal count, or its replication values and
+    counts, as the references give them, or its error's type and message."""
+    try:
+        result = run()
+    except Exception as exc:
+        return "error", type(exc).__name__, str(exc)
+    if isinstance(result, rejmc.SampleBatch):
+        return "ok", digest(result.points), result.meta.proposals_drawn
+    if isinstance(result, rejmc.IntegralEstimate):
+        counts = result.n_in_region, result.proposals_drawn, result.accepted
+        return "ok", digest(np.array(result.per_replication_values)), *counts
+    return "ok", digest(np.asarray(result[0], dtype=np.float64)), *result[1:]
+
+
+def references(target: Target, eps: float, n: int, seed: int, bins: int, reps: int):
+    """The one-proposal reference of each run of a case, in the order of runs."""
+    names = rejmc.VarOrder(list(target.names))
+    field = rejmc.ScalarField.from_text(target.density.format(eps=eps), names)
+    region = rejmc.parse(target.region.format(eps=eps), names)
+    box = rejmc.Box(list(target.box))
+    spec = rejmc.TargetSpec(field, box, target.bound_c)
+
+    def grmc(cells):
+        return lambda: grmc_reference(
+            field, rejmc.build_piecewise_proposal(field, box, cells), n, seed
+        )
+
+    n_int = max(1, n // 2)
+    return [
+        lambda: srmc_reference(spec, n, seed),
+        grmc(1),
+        grmc(bins),
+        lambda: integrate_reference(True, field, region, box, n_int, reps, seed),
+        lambda: integrate_reference(False, field, region, box, n_int, reps, seed),
+    ]
+
+
 def runs(module, target: Target, eps: float, n: int, seed: int, bins: int, reps: int):
     """(name, run) for each run of a case, on module's functions."""
     names = module.VarOrder(list(target.names))
@@ -162,7 +205,8 @@ def main() -> int:
     rng = random.Random(int(sys.argv[3]) if len(sys.argv) > 3 else 2024)
     other = load(rev)
     counts = {"equal": 0, "ok": 0, "error": 0}
-    differ, budget_counts, threads_differ = [], [], []
+    differ, budget_counts, threads_differ, off_reference = [], [], [], []
+    checked = 0
     for _ in range(count):
         target = rng.choice(TARGETS)
         eps = 10 ** rng.uniform(-6.5, -3.5) if target.floor is None else rng.uniform(0.01, 0.07)
@@ -174,11 +218,18 @@ def main() -> int:
         os.environ["RMC_THREADS"] = threads
         case = f"{target.density.format(eps=eps)!r} n={n} seed={seed} bins={bins} reps={reps} " \
                f"RMC_THREADS={threads}"
+        against = n <= 9000 and target.floor is None
         pairs = zip(
             runs(other, target, eps, n, seed, bins, reps),
             runs(rejmc, target, eps, n, seed, bins, reps),
+            references(target, eps, n, seed, bins, reps),
         )
-        for (name, old_run), (_, new_run) in pairs:
+        for (name, old_run), (_, new_run), reference in pairs:
+            if against:
+                checked += 1
+                here, loop = numbers(new_run), numbers(reference)
+                if here != loop:
+                    off_reference.append((f"{name}: {case}", here, loop))
             old = with_floor(other, target.floor, old_run)
             new = with_floor(rejmc, target.floor, new_run)
             if repr(old) == repr(new):
@@ -199,15 +250,19 @@ def main() -> int:
                 os.environ["RMC_THREADS"] = threads
     print(f"{count} cases, {5 * count} runs (srmc, grmc one cell and several, both integrators)")
     print(f"equal outcomes: {counts['equal']} ({counts['ok']} results, {counts['error']} errors)")
+    print(f"runs checked against the one-proposal reference: {checked}")
     for title, cases, (first, second) in [
         ("different outcomes", differ, (rev, "here")),
         ("BudgetExhausted counts different", budget_counts, (rev, "here")),
         ("failures here that depend on the worker count", threads_differ, ("here", "again")),
+        ("outcomes here unlike the one-proposal reference", off_reference, ("here", "reference")),
     ]:
         print(f"{title}: {len(cases)}")
+        if cases is differ:
+            print(f"    of which {rev} failed: {sum(old[0] == 'error' for _, old, _ in cases)}")
         for text, old, new in cases[:10]:
             print(f"    {text}\n        {first}: {old}\n        {second}: {new}")
-    return 1 if differ or budget_counts or threads_differ else 0
+    return 1 if differ or budget_counts or threads_differ or off_reference else 0
 
 
 def budget_key(outcome) -> str:

@@ -454,6 +454,13 @@ class TestExitCodes:
         assert f"rejmc: division by zero in {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_fault_after_the_last_acceptance_does_not_fail_the_run(self, tmp_path, monkeypatch):
+        # the first batch of 4096 proposals holds an x below 0.0001, but after
+        # the 10th acceptance, which the one-proposal loop never gets past
+        args = ["sample", "--density", "sqrt(x - 0.0001)", "--vars", "x", "--box", "0:1",
+                "--bound-c", "1.01", "--n", "10", "--seed", "2"]
+        assert run(args, tmp_path, monkeypatch) == 0
+
     def test_expression_nesting_too_deeply_exits_2(self, tmp_path, monkeypatch, capsys):
         # a sum of 3001 terms is a left-nested tree 3000 levels deep
         density = "+".join(["x"] * 3001)

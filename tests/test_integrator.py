@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rejmc import integrator
 from rejmc import (
     Box,
+    EvalError,
     IntegralEstimate,
     ModelValidationError,
     ScalarField,
@@ -94,6 +96,21 @@ class TestScreened:
         # the n x 2 uniform batch is 3.2 MB; kept alive through the
         # sampler, it took the peak to about 11 MB, freed it is about 8 MB
         assert peak < 9.5 * 2**20
+
+    def test_region_fault_runs_the_sampler_once(self, product_field, product_box, monkeypatch):
+        # the region faults at almost every point, so at the first gang
+        calls = []
+        sample = integrator.srmc_sample
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("finish") is not None)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "srmc_sample", counting)
+        region = parse("log(x - 0.5) < 9", product_field.vars)
+        with pytest.raises(EvalError, match="log of a nonpositive value"):
+            integrate_screened(product_field, region, product_box, 50_000, 1, 3)
+        assert calls == [True]
 
     def test_region_monotonicity_shared_draws(self, product_field, product_box):
         nested = [

@@ -5,12 +5,15 @@ replaced, kept here as the reference: box scaling against the numpy
 broadcast, grid evaluation against the meshgrid matrix, the compiled
 evaluator against a frozen copy of the per-operator one, the piecewise
 generator against the one-shot splitmix64 formula, the CSV and SVG writers
-against per-value formatting, and the samplers against their own output
-under another batch schedule. Three more state an invariant outright:
+against per-value formatting, the samplers against their own output under
+another batch schedule, and the samplers' and integrators' outcomes,
+faults included, against the one-proposal loop of conftest.py and under
+other batch schedules. Three more state an invariant outright:
 evaluate_batch returns no NaN and leaves its points and Grid columns
 unchanged, and a string of tokens either parses to an AST that survives
 the round trip through to_text or raises ParseError.
 """
+import contextlib
 import itertools
 import math
 import os
@@ -25,11 +28,13 @@ import rejmc.cli as cli
 import rejmc.expression as expression
 import rejmc.integrator as integrator
 from rejmc import Box, EvalError, ScalarField, VarOrder, build_piecewise_proposal, grmc_sample
-from rejmc import ParseError, parse, samplers, srmc_sample, svgplot, validate_target
+from rejmc import ParseError, TargetSpec, parse, samplers, srmc_sample, svgplot, validate_target
 from rejmc.expression import BinOp, Call, Const, Grid, Neg, Num, Var
 from rejmc.expression import evaluate_batch, to_text
 from rejmc.randomness import GOLDEN_GAMMA, MASK64, RandomStream, capture_seed, scale_to_box
 from rejmc.randomness import substream, uniform_box_block
+from conftest import grmc_reference, integrate_reference, region_values, rows_alone
+from conftest import srmc_reference
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # widths from subnormal-tiny to near the float range, corners of either sign
@@ -543,25 +548,27 @@ def aggregate(values):
     return value_bits([float(arr.mean()), stderr, *values])
 
 
-def in_region(indicator, points):
-    inside = indicator(points)
-    if not np.all((inside == 0.0) | (inside == 1.0)):
-        raise ValueError("region must evaluate to 0 or 1")
-    return inside
+def row_order(fn, points):
+    """fn(points), a fault raised as the first row that faults raises it alone."""
+    values, fault = rows_alone(fn, points, block=len(points))
+    if fault is not None:
+        raise fault
+    return np.array(values)
 
 
 def screened_reference(g, region, box, n, reps, seed):
-    """integrate_screened's numbers as its replications computed them, on the
-    whole uniform batch and then on all n samples at once."""
-    indicator = ScalarField(region, g.vars)
+    """integrate_screened's numbers on the whole uniform batch and then on all
+    n samples at once, a fault raised in row order. The density x*y does
+    not fault, so each region value comes before any sampler failure."""
+    in_region = region_values(ScalarField(region, g.vars))
     target = validate_target(g, box)
     run_seed = capture_seed(seed)
     values, counts, proposals, accepted = [], 0, 0, 0
     for r in range(reps):
         rs = substream(run_seed, r)
-        a = box.volume * float(np.mean(g(uniform_box_block(rs, box, n))))
+        a = box.volume * float(np.mean(row_order(g, uniform_box_block(rs, box, n))))
         batch = srmc_sample(target, n, rs.state)
-        count = int(np.count_nonzero(in_region(indicator, batch.points)))
+        count = int(np.count_nonzero(row_order(in_region, batch.points)))
         values.append(a * (count / n))
         counts += count
         proposals += batch.meta.proposals_drawn
@@ -570,14 +577,15 @@ def screened_reference(g, region, box, n, reps, seed):
 
 
 def direct_reference(g, region, box, n, reps, seed):
-    """integrate_direct's numbers as its replications computed them, on the
-    whole uniform batch."""
-    indicator = ScalarField(region, g.vars)
+    """integrate_direct's numbers on the whole uniform batch, a fault raised
+    in row order."""
+    in_region = region_values(ScalarField(region, g.vars))
     run_seed = capture_seed(seed)
     values = []
     for r in range(reps):
         uniform = uniform_box_block(substream(run_seed, r), box, n)
-        values.append(box.volume * float(np.mean(g(uniform) * in_region(indicator, uniform))))
+        g_in_region = lambda p: g(p) * in_region(p)
+        values.append(box.volume * float(np.mean(row_order(g_in_region, uniform))))
     return aggregate(values), 0, 0, 0
 
 
@@ -600,8 +608,9 @@ def reference_numbers(run):
 
 
 PARABOLA = "y^2 <= x and y >= 0 and y >= x - 2"
-# the log check comes first, and its slice is thinner: many pieces and gangs
-# that fault meet only the sqrt check, while the whole batch meets both
+# the log check comes first, and its slice is thinner: a whole batch that
+# meets both checks raises the log check's error, but its first faulting row
+# meets only the sqrt check
 THIN_FAULTS = "log(4 - 0.00004 - x) < 2 and sqrt(2 - 0.0002 - y) >= 0"
 
 
@@ -623,3 +632,122 @@ def test_integrators_equal_whole_batch_replications(region, n, workers, monkeypa
         ]:
             got = estimate_numbers(lambda: run(g, node, box, n, 3, seed))
             assert got == reference_numbers(lambda: reference(g, node, box, n, 3, seed))
+
+
+# thin-slice faults: the density's sqrt check fails within w of one point
+# and its log check within w/10 of another, and the region's checks within
+# 4w and w/10 of two more, so that a screened replication can meet a
+# region fault before a density fault. The density's points lie between
+# the points of the bound and histogram grids, so that only sampled points
+# meet its faults.
+FAULTY_DENSITY = (
+    "exp(-x^2) + 0*sqrt((x - 0.3173828125)^2 - {w}^2) + 0*log((x + 0.5771484375)^2 - {v}^2)"
+)
+FAULTY_REGION = "x^2 < 0.5 and sqrt((x + 0.125)^2 - {u}^2) >= 0 and log((x - 0.6982)^2 - {v}^2) < 9"
+FAULTY_KINDS = ["srmc", "grmc one cell", "grmc cells", "screened", "direct"]
+
+
+def faulty_runs(kind, w, bins):
+    """(run, reference) of one kind of run on the thin-slice target: each
+    maps (n, seed) to the points and proposal count, or to the
+    per-replication values and counts of 2 replications of n // 4 + 1."""
+    order = VarOrder(["x"])
+    field = ScalarField.from_text(FAULTY_DENSITY.format(w=w, v=w / 10), order)
+    region = parse(FAULTY_REGION.format(u=4 * w, v=w / 10), order)
+    box = Box([(-1, 1)])
+
+    def sampler(sample, reference):
+        def numbers(n, seed):
+            batch = sample(n, seed)
+            return batch.points, batch.meta.proposals_drawn
+
+        return numbers, reference
+
+    def integrate(run, screened):
+        def numbers(n, seed):
+            est = run(field, region, box, n // 4 + 1, 2, seed)
+            counts = est.n_in_region, est.proposals_drawn, est.accepted
+            return list(est.per_replication_values), *counts
+
+        def reference(n, seed):
+            return integrate_reference(screened, field, region, box, n // 4 + 1, 2, seed)
+
+        return numbers, reference
+
+    if kind == "srmc":
+        target = TargetSpec(field, box, 1.1)
+        return sampler(
+            lambda n, seed: srmc_sample(target, n, seed),
+            lambda n, seed: srmc_reference(target, n, seed),
+        )
+    if kind.startswith("grmc"):
+        proposal = build_piecewise_proposal(field, box, 1 if kind == "grmc one cell" else bins)
+        return sampler(
+            lambda n, seed: grmc_sample(field, proposal, n, seed),
+            lambda n, seed: grmc_reference(field, proposal, n, seed),
+        )
+    if kind == "screened":
+        return integrate(integrator.integrate_screened, True)
+    return integrate(integrator.integrate_direct, False)
+
+
+def numbers_or_error(run):
+    """run()'s numbers with each float as its bits, or its error's type and message."""
+    try:
+        first, *rest = run()
+    except (EvalError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return value_bits(first), *rest
+
+
+def batching(workers, sizes, round_cap, gang, piece):
+    """The patches of one batch schedule: RMC_THREADS, _next_batch_size
+    cycling through sizes, _ROUND, _gang_size and integrator._PIECE."""
+    schedule = itertools.cycle(sizes)
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.dict(os.environ, {"RMC_THREADS": str(workers)}))
+    sizes = lambda *args: next(schedule)
+    stack.enter_context(mock.patch.object(samplers, "_next_batch_size", sizes))
+    stack.enter_context(mock.patch.object(samplers, "_ROUND", round_cap))
+    size = (lambda chunks: chunks) if gang == "all" else (lambda chunks: gang)
+    stack.enter_context(mock.patch.object(samplers, "_gang_size", size))
+    stack.enter_context(mock.patch.object(integrator, "_PIECE", piece))
+    return stack
+
+
+schedules = st.tuples(
+    st.integers(1, 3),
+    st.lists(st.integers(1, 6000), min_size=1, max_size=4),
+    st.sampled_from([1, 3000, 1 << 17]),
+    st.sampled_from([1, 2, "all"]),
+    st.sampled_from([1, 7, 1000, 1 << 14]),
+)
+slice_widths = st.floats(-5.5, -3.5).map(lambda e: 10**e)
+
+
+@pytest.mark.parametrize("kind", FAULTY_KINDS)
+@settings(max_examples=6, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(st.integers(1, 3 * samplers.CHUNK_ACCEPTS), st.integers(0, 2**64 - 1), slice_widths,
+       st.integers(2, 5), schedules)
+# whole-batch failures got the first two wrong: srmc raised where the loop
+# fails nothing, and integrate_direct raised another check's error. In the
+# third, a screened replication meets a region fault before a density fault
+@example(7266, 32178, 1.22e-05, 3, (1, [4096], 1 << 17, 1, 1 << 14))
+@example(7702, 52925, 0.0002012, 3, (2, [4096], 3000, "all", 7))
+@example(9385, 1904, 5.62e-05, 3, (1, [4096], 1 << 17, 1, 1 << 14))
+def test_outcomes_equal_the_one_proposal_loop(kind, n, seed, w, bins, schedule):
+    run, reference = faulty_runs(kind, w, bins)
+    with batching(*schedule):
+        got = numbers_or_error(lambda: run(n, seed))
+    assert got == numbers_or_error(lambda: reference(n, seed))
+
+
+@pytest.mark.parametrize("kind", FAULTY_KINDS)
+@settings(max_examples=10, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(st.integers(1, 12 * samplers.CHUNK_ACCEPTS), st.integers(0, 2**64 - 1), slice_widths,
+       st.integers(2, 5), schedules)
+def test_outcomes_do_not_depend_on_batching(kind, n, seed, w, bins, schedule):
+    run, _ = faulty_runs(kind, w, bins)
+    want = numbers_or_error(lambda: run(n, seed))
+    with batching(*schedule):
+        assert numbers_or_error(lambda: run(n, seed)) == want

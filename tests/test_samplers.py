@@ -218,10 +218,10 @@ class TestGrmc:
         srmc = srmc_sample(validate_target(field, box, h0), 1, 0)
         # two proposals of (x, u): the tie, then a clear acceptance
         block = [0.5, 0.8333333333333334, 0.25, 0.5]
-        pts_a, ok_a = one_cell([(FixedUniforms(block), 2)])
-        pts_b, ok_b = srmc([(FixedUniforms(block), 2)])
-        assert ok_b.tolist() == [False, True]
-        assert ok_a.tolist() == ok_b.tolist()
+        pts_a, test_a = one_cell([(FixedUniforms(block), 2)])
+        pts_b, test_b = srmc([(FixedUniforms(block), 2)])
+        assert test_b(slice(0, 2)).tolist() == [False, True]
+        assert test_a(slice(0, 2)).tolist() == test_b(slice(0, 2)).tolist()
         assert np.array_equal(pts_a, pts_b)
 
     def test_cells_break_ties_as_srmc_does(self, monkeypatch):
@@ -234,8 +234,8 @@ class TestGrmc:
         two_cells = grmc_sample(field, prop, 1, 0)
         # two proposals of (cell, x, u): the tie, then a clear acceptance
         block = [0.25, 0.5, 0.8333333333333334, 0.75, 0.5, 0.5]
-        _, ok = two_cells([(FixedUniforms(block), 2)])
-        assert ok.tolist() == [False, True]
+        _, test = two_cells([(FixedUniforms(block), 2)])
+        assert test(slice(0, 2)).tolist() == [False, True]
 
     def test_refined_proposal_accepts_more(self, sine_field, sine_box):
         single = build_piecewise_proposal(sine_field, sine_box, 1)
@@ -465,29 +465,38 @@ class TestBudget:
 
 class TestGangFailures:
     """Chunks 0 and 1 run as one gang under a stub propose-and-test that
-    accepts nothing and faults whenever it is handed chunk 1's first batch.
-    The run must raise what the chunks run one at a time raise: the first
-    failure in chunk order."""
+    accepts nothing and faults at the first proposal of chunk 1's first
+    batch. The run must raise what the chunks run one at a time raise: the
+    first failure in chunk order."""
 
     @pytest.mark.parametrize("chunk0", ["exhausts", "faults later", "completes"])
     def test_first_failure_in_chunk_order_wins(self, chunk0, monkeypatch):
         monkeypatch.setattr(samplers, "_gang_size", lambda chunks: chunks)
         monkeypatch.setattr(samplers, "_STOP_AFTER", 1 << 16)
         seed = 5
-        first = {substream(seed, i).state: i for i in range(2)}
-        calls = []
+        # each state a chunk's stream has been in, with the chunk's index
+        chunk_at = {substream(seed, i).state: i for i in range(2)}
+        batches, calls = [0, 0], []
 
         def propose_and_test(draws):
-            chunks = [first.get(stream.state) for stream, _ in draws]
-            calls.append(chunks)
-            rows = sum(batch for _, batch in draws)
+            calls.append([chunk_at[stream.state] for stream, _ in draws])
+            owner, fault = [], []
             for stream, batch in draws:
+                i = chunk_at[stream.state]
+                batches[i] += 1
+                owner += [i] * batch
+                fault += [i == 1 or (chunk0 == "faults later" and batches[i] == 3)]
+                fault += [False] * (batch - 1)
                 stream.next_u64_block(batch)
-            if 1 in chunks:
-                raise EvalError("chunk 1 faults", Num(1.0))
-            if chunk0 == "faults later" and len(calls) > 3:
-                raise EvalError("chunk 0 faults", Num(0.0))
-            return np.zeros((rows, 1)), np.full(rows, chunk0 == "completes")
+                chunk_at[stream.state] = i
+            owner, fault = np.array(owner), np.array(fault)
+
+            def test(rows):
+                if fault[rows].any():
+                    raise EvalError(f"chunk {owner[rows][fault[rows]][0]} faults", Num(1.0))
+                return np.full(len(owner[rows]), chunk0 == "completes")
+
+            return np.zeros((len(owner), 1)), test
 
         run = lambda: samplers._run_chunked(2 * samplers.CHUNK_ACCEPTS, seed, propose_and_test, 1.0)
         if chunk0 == "exhausts":
@@ -499,9 +508,36 @@ class TestGangFailures:
             culprit = "chunk 1" if chunk0 == "completes" else "chunk 0"
             with pytest.raises(EvalError, match=f"{culprit} faults"):
                 run()
-        # one call for the first round, then the replay one chunk at a time,
-        # each from its stream's state before the round
-        assert calls[:3] == [[0, 1], [0], [1]]
+        # one call for the first round, in which chunk 0 takes in its whole
+        # batch and chunk 1 fails; then chunk 0 runs on alone, if it is not done
+        assert calls[:2] == ([[0, 1]] if chunk0 == "completes" else [[0, 1], [0]])
+
+    def test_a_fault_after_a_chunk_is_done_puts_back_the_later_chunks(self, monkeypatch):
+        # chunks 0 and 1 share a round of batches of 5000. Chunk 0 is done at
+        # its 4096th proposal, and its 4501st faults: that fails nothing, and
+        # chunk 1, whose batch came after the fault, draws it again next round
+        monkeypatch.setattr(samplers, "_gang_size", lambda chunks: chunks)
+        monkeypatch.setattr(samplers, "_next_batch_size", lambda *args: 5000)
+        seed = 5
+        bad = substream(seed, 0).uniform01_block(4501)[-1]
+        calls = []
+
+        def propose_and_test(draws):
+            calls.append(len(draws))
+            u = np.concatenate([stream.uniform01_block(batch) for stream, batch in draws])
+
+            def test(rows):
+                if np.any(u[rows] == bad):
+                    raise EvalError("faults", Num(0.0))
+                return np.ones(len(u[rows]), dtype=bool)
+
+            return u.reshape(-1, 1), test
+
+        got = samplers._run_chunked(2 * samplers.CHUNK_ACCEPTS, seed, propose_and_test, 1.0)
+        want = [substream(seed, i).uniform01_block(samplers.CHUNK_ACCEPTS) for i in range(2)]
+        assert calls == [2, 1]
+        assert np.array_equal(got.points.ravel(), np.concatenate(want))
+        assert got.meta.proposals_drawn == 2 * samplers.CHUNK_ACCEPTS
 
     @pytest.mark.parametrize("gang", [1, 2, 3])
     def test_budget_error_does_not_depend_on_gang_size(self, gang, monkeypatch):
@@ -517,7 +553,7 @@ class TestGangFailures:
             ok = np.concatenate([np.full(batch, stream.state == chunk0) for stream, batch in draws])
             for stream, batch in draws:
                 stream.next_u64_block(batch)
-            return np.zeros((rows, 1)), ok
+            return np.zeros((rows, 1)), lambda r: ok[r]
 
         with pytest.raises(BudgetExhausted) as err:
             samplers._run_chunked(3 * samplers.CHUNK_ACCEPTS, seed, propose_and_test, 1.0)
