@@ -1,5 +1,9 @@
+import importlib
 import math
 import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +173,30 @@ def subprocess_env():
         [inherited, "error::RuntimeWarning"] if inherited else ["error::RuntimeWarning"]
     )
     return env
+
+
+def load_revision(rev: str):
+    """REV's src/rejmc, read through ``git show`` and imported as the
+    package rejmc_at_rev, for the by-hand differential sweeps."""
+    listing = subprocess.run(
+        ["git", "ls-tree", "--name-only", f"{rev}:src/rejmc"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    with tempfile.TemporaryDirectory(prefix="rejmc_at_rev_") as root:
+        package = Path(root) / "rejmc_at_rev"
+        package.mkdir()
+        for name in listing:
+            if name.endswith(".py"):
+                source = subprocess.run(
+                    ["git", "show", f"{rev}:src/rejmc/{name}"],
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                (package / name).write_text(source)
+        sys.path.insert(0, root)
+        # the package imports every module of it, so the files can go
+        module = importlib.import_module("rejmc_at_rev")
+        sys.path.remove(root)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -832,3 +834,33 @@ def test_chi_square_validate_of_at_most_512_cells_loads_no_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
     assert json.loads((tmp_path / "run.json").read_text())["gof"]["kind"] == "chi_square"
+
+
+def test_chi_square_validate_past_512_groups_runs_with_scipy_blocked(tmp_path):
+    # dof 1436: the threshold comes from the Cornish-Fisher expansion
+    argv = [
+        "validate", "--density", "exp(-(x^2+y^2))", "--vars", "x,y", "--box", "-3:3,-3:3",
+        "--n", "100000", "--bins", "64", "--seed", "1",
+    ]
+    code = (
+        'import sys; sys.modules["scipy"] = None; '
+        f"import rejmc.cli; sys.exit(rejmc.cli.main({argv!r}))"
+    )
+    out = run_fresh(code, tmp_path)
+    assert out.returncode == 0, out.stderr
+    gof = json.loads((tmp_path / "run.json").read_text())["gof"]
+    assert (gof["kind"], gof["dof"]) == ("chi_square", 1436)
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (path, node.lineno)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from rejmc import (
     Box,
 )
 from rejmc.randomness import RandomStream
-from rejmc.stats import _CHI2_999, _chi2_threshold, _merge_small_cells
+from rejmc.stats import _CHI2_999, _Z_999, _chi2_threshold, _merge_small_cells
 from conftest import GAUSS_C_LOOSE
 
 
@@ -211,14 +212,55 @@ class TestChiSquareBox:
         expected = 2 * gammaincinv(np.arange(1, 512) / 2, 0.999)
         assert np.array_equal(np.array(_CHI2_999).view(np.uint64), expected.view(np.uint64))
 
-    # both sides of the table's edge, and the largest 2-D partition (2^18 cells)
-    @pytest.mark.parametrize("dof", [1, 511, 512, 4096, 262_143])
+    # both ends of the table, and the largest 2-D partition (2^18 cells),
+    # where the Cornish-Fisher expansion lands on scipy's double exactly
+    @pytest.mark.parametrize("dof", [1, 511, 262_143])
     def test_threshold_equals_scipy_on_both_sides_of_the_table(self, dof):
         from scipy.special import gammaincinv
 
         threshold = _chi2_threshold(dof)
         assert type(threshold) is float
         assert threshold == float(2 * gammaincinv(dof / 2, 0.999))
+
+    # just past the table's edge (512 is the expansion's worst case, 2.53e-11)
+    @pytest.mark.parametrize("dof", [512, 4096])
+    def test_threshold_near_scipy_past_the_edge(self, dof):
+        from scipy.special import gammaincinv
+
+        threshold = _chi2_threshold(dof)
+        expected = float(2 * gammaincinv(dof / 2, 0.999))
+        assert type(threshold) is float
+        assert threshold != expected
+        assert abs(threshold - expected) / expected < 3e-11
+
+    # every dof up to 20,000, then 2000 log-spaced up to the most groups a 1-D
+    # plan can have (2^28 grid points / 32 per cell), and the largest 2-D
+    # partition (2^18 cells)
+    PAST_THE_TABLE = np.unique(np.concatenate([
+        np.arange(512, 20_001),
+        np.geomspace(20_001, (1 << 23) - 1, 2000).round().astype(np.int64),
+        [262_143],
+    ]))
+
+    def test_threshold_past_the_table_is_within_3e_11_of_scipy(self):
+        from scipy.special import gammaincinv
+
+        dofs = self.PAST_THE_TABLE
+        assert dofs.size >= 19_489 + 2000 and dofs[-1] == (1 << 23) - 1
+        thresholds = np.array([_chi2_threshold(int(dof)) for dof in dofs])
+        expected = 2 * gammaincinv(dofs / 2, 0.999)
+        assert np.max(np.abs(thresholds - expected) / expected) < 3e-11
+
+    def test_threshold_strictly_increases_across_the_seam(self):
+        assert _chi2_threshold(511) == 615.5148626372387
+        assert _chi2_threshold(512) == 616.6114586691665
+        thresholds = [_chi2_threshold(dof) for dof in range(1, 512)]
+        thresholds += [_chi2_threshold(int(dof)) for dof in self.PAST_THE_TABLE]
+        assert all(type(t) is float for t in thresholds)
+        assert np.all(np.diff(thresholds) > 0)
+
+    def test_normal_quantile_literal(self):
+        assert _Z_999 == statistics.NormalDist().inv_cdf(0.999)
 
     def test_plan_refuses_a_batch_of_another_size(self):
         field = ScalarField.from_text("1 + 0*x", VarOrder(["x"]))
