@@ -223,7 +223,10 @@ def _cmd_sample(args) -> int:
     field = ScalarField.from_text(args.density, variables)
 
     if args.bins is not None:
-        bins = [int(b) for b in str(args.bins).split(",")]
+        try:
+            bins = [int(b) for b in str(args.bins).split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"bad --bins: {exc}") from None
         validate_target(field, box)
         proposal = build_piecewise_proposal(field, box, bins if len(bins) > 1 else bins[0])
         batch = _timed(grmc_sample, field, proposal, args.n, seed)

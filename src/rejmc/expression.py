@@ -25,12 +25,13 @@ Each operator, function call and pair of parentheses between the whole
 expression and a number or name is one level of nesting; parse refuses an
 expression more than MAX_DEPTH levels deep with a ParseError.
 
-ASTs are immutable after parse; evaluation is pure and reentrant. Domain
-faults (division by zero, zero to a negative power, log of a nonpositive
-value, sqrt of a negative value, a negative base with a non-integer
-exponent, or anything else that would produce NaN, even where a comparison
-would turn it into 0.0, or a power into 1.0) raise EvalError instead of
-propagating NaN.
+AST nodes are named tuples, immutable after parse: == and hash compare
+their fields, and repr prints Kind(field=value, ...). Evaluation is pure
+and reentrant. Domain faults (division by zero, zero to a negative power,
+log of a nonpositive value, sqrt of a negative value, a negative base with
+a non-integer exponent, or anything else that would produce NaN, even where
+a comparison would turn it into 0.0, or a power into 1.0) raise EvalError
+instead of propagating NaN.
 
 compile_node turns an AST into its evaluator once (ScalarField does so
 once per field), and evaluate_batch runs it on each batch. The evaluator
@@ -48,7 +49,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -130,94 +131,34 @@ class VarOrder:
         return len(self.names)
 
 
-class _Node:
-    """Structural ==, hash and repr, as a dataclass would generate them, but
-    walking the tree with a stack: a tree MAX_DEPTH levels deep would pass
-    Python's recursion limit through the generated ones."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return tuple(_preorder(self)) == tuple(_preorder(other))
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self)))
-
-    def __repr__(self):
-        # a stack of (True, text to emit) and (False, value to render)
-        parts, stack = [], [(False, self)]
-        while stack:
-            is_text, item = stack.pop()
-            if is_text:
-                parts.append(item)
-            elif isinstance(item, (_Node, tuple)):
-                if isinstance(item, _Node):
-                    opened, fields = f"{type(item).__name__}(", vars(item).items()
-                    closed = ")"
-                else:
-                    opened, fields = "(", (("", x) for x in item)
-                    closed = ",)" if len(item) == 1 else ")"
-                pending = [(True, opened)]
-                for i, (name, value) in enumerate(fields):
-                    pending += [(True, (", " if i else "") + (name and name + "=")), (False, value)]
-                stack += reversed(pending + [(True, closed)])
-            else:
-                parts.append(repr(item))
-        return "".join(parts)
+# AST node kinds. Each is a named tuple, so an AST never changes after parse,
+# and == and hash compare the fields, in C.
 
 
-def _preorder(node: "_Node"):
-    """Each node's class, then its fields in order, with a tuple given as
-    its length and then its items: two trees are equal exactly when these
-    sequences are."""
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Node):
-            yield type(item)
-            stack += reversed(vars(item).values())
-        elif isinstance(item, tuple):
-            yield len(item)
-            stack += reversed(item)
-        else:
-            yield item
-
-
-# AST node kinds. All frozen; an AST never changes after parse.
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Num(_Node):
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Const(_Node):
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(_Node):
+class Var(NamedTuple):
     name: str
     index: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(_Node):
+class Neg(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BinOp(_Node):
+class BinOp(NamedTuple):
     op: str  # a key of _PREC: + - * / ^ <= >= < > and
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Call(_Node):
+class Call(NamedTuple):
     func: str
     args: tuple["Node", ...]
 
@@ -257,8 +198,8 @@ _PREC = {"and": 1, "<=": 2, ">=": 2, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/"
 _NEG = 5
 _COMPARISONS = {op for op, prec in _PREC.items() if prec == _PREC["<"]}
 # levels of nesting parse accepts; the parser, _compile, the evaluator it
-# builds and _render recurse at most three times per level, well inside
-# Python's default limit of 1000
+# builds, _render and a node's repr and == recurse at most three times per
+# level, well inside Python's default limit of 1000
 MAX_DEPTH = 256
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .expression import Node, _zero_or_one
-from .model import Box, ScalarField, validate_target
+from .model import Box, ScalarField, check_dims, validate_target
 from .randomness import RandomStream, capture_seed, substream, uniform_box_block
 from .samplers import _first_fault, ordered_map, srmc_sample
 
@@ -172,6 +172,7 @@ def integrate_direct(
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be at least 1")
+    check_dims(g, box)
     in_region = _region_indicator(region, g.vars)
     run_seed = capture_seed(seed)
     vol = box.volume

@@ -42,6 +42,7 @@ __all__ = [
     "bin_counts",
     "grid_reduce",
     "check_grid_size",
+    "check_dims",
     "estimate_bound_argmax",
     "default_grid",
     "MAX_GRID_POINTS",
@@ -184,10 +185,7 @@ class TargetSpec:
     bound_c: float
 
     def __post_init__(self):
-        if self.field.dims != self.support.dims:
-            raise ValueError(
-                f"field has {self.field.dims} variables but box has {self.support.dims}"
-            )
+        check_dims(self.field, self.support)
         if not (self.bound_c > 0.0 and math.isfinite(self.bound_c)):
             raise ValueError(f"envelope constant must be positive and finite: {self.bound_c!r}")
 
@@ -251,8 +249,7 @@ def validate_target(
     offending point and value); without one, the maximum on a default_grid
     times SAFETY is estimated and stored.
     """
-    if field.dims != box.dims:
-        raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
+    check_dims(field, box)
     pts = uniform_box_block(RandomStream(_VALIDATION_SEED), box, _PROBES)
     vals = field(pts)
 
@@ -298,6 +295,12 @@ def bin_counts(bins_per_dim: int | Sequence[int], dims: int) -> tuple[int, ...]:
     if len(bins) != dims or any(b < 1 for b in bins):
         raise ValueError(f"need {dims} positive bin counts, got {bins}")
     return bins
+
+
+def check_dims(field: ScalarField, box: Box) -> None:
+    """Raises ValueError unless the field has one variable per box dimension."""
+    if field.dims != box.dims:
+        raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
 
 
 def check_grid_size(counts: Sequence[int]) -> int:
@@ -346,6 +349,7 @@ def estimate_bound_argmax(
 ) -> tuple[float, np.ndarray]:
     """safety * max of the field over a regular grid including box corners,
     and the grid point of the (first) maximum."""
+    check_dims(field, box)
     if grid_per_dim < 2:
         raise ValueError(f"bound grid needs at least 2 points per dimension, got {grid_per_dim}")
     if not (math.isfinite(safety) and safety >= 1.0):
@@ -408,8 +412,7 @@ def build_piecewise_proposal(
     the cell's height is its grid maximum times SAFETY.
     Cells whose grid maximum is zero get height zero and are never proposed.
     """
-    if field.dims != box.dims:
-        raise ValueError(f"field has {field.dims} variables but box has {box.dims}")
+    check_dims(field, box)
     bins = bin_counts(bins_per_dim, box.dims)
     cells = math.prod(bins)
     if cells > MAX_GRID_POINTS:

@@ -53,6 +53,7 @@ import numpy as np
 
 from .expression import EvalError
 from .model import Box, PiecewiseUniformProposal, RunMetadata, SampleBatch, ScalarField, TargetSpec
+from .model import check_dims
 # re-exported: bench/tracer.py wraps it under this module's name
 from .model import estimate_bound_argmax
 from .randomness import RandomStream, _Joined, capture_seed, scale_to_box, substream
@@ -462,6 +463,7 @@ def grmc_sample(
     total_mass/volume.
     """
     box = proposal.box
+    check_dims(field, box)
     d = box.dims
     heights_flat = proposal.heights.ravel()
 

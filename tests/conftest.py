@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import os
@@ -197,6 +198,17 @@ def load_revision(rev: str):
         module = importlib.import_module("rejmc_at_rev")
         sys.path.remove(root)
     return module
+
+
+def node_fields(value):
+    """The field values of an AST node, in order, whichever form the node
+    kinds have at a revision (dataclasses, later named tuples); None for any
+    other value, a plain tuple included. For the by-hand sweeps."""
+    if dataclasses.is_dataclass(value):
+        return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return tuple(value)
+    return None
 
 
 @pytest.fixture(scope="session")

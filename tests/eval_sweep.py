@@ -15,13 +15,12 @@ Prints the counts of equal outcomes, of results and of errors, and each
 differing case up to ten; exits 1 when any outcome differs. pytest does
 not collect this file.
 """
-import dataclasses
 import random
 import sys
 
 import numpy as np
 
-from conftest import load_revision
+from conftest import load_revision, node_fields
 from rejmc import expression
 
 NAMES = ("x", "y", "z")
@@ -66,12 +65,12 @@ def random_conjunct(rng, d, depth):
 
 def rebuild(node, module):
     """The same AST built from module's node classes."""
+    fields = node_fields(node)
+    if fields is not None:
+        return getattr(module, type(node).__name__)(*(rebuild(x, module) for x in fields))
     if isinstance(node, tuple):
         return tuple(rebuild(x, module) for x in node)
-    if not dataclasses.is_dataclass(node):
-        return node
-    cls = getattr(module, type(node).__name__)
-    return cls(*(rebuild(getattr(node, f.name), module) for f in dataclasses.fields(node)))
+    return node
 
 
 def outcome(module, node, points):

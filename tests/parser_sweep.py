@@ -15,13 +15,12 @@ strings both refuse, each pair of messages with the offsets stripped (or
 "same message, other offset"). Exits 1 when an AST or an accept/refuse
 outcome differs. pytest does not collect this file.
 """
-import dataclasses
 import random
 import re
 import sys
 from collections import defaultdict
 
-from conftest import load_revision
+from conftest import load_revision, node_fields
 from rejmc import expression
 
 TOKENS = "x y 1 2.5 pi sin min ( ) , + - * / ^ < <= > >= and".split()
@@ -43,13 +42,13 @@ def tree(node):
     """An AST as nested tuples, so ASTs of two modules compare equal. The
     tree is canonical across the two forms the parser has had: a Rel is a
     BinOp, and an 'and' chain is one flat And of its operands."""
-    if dataclasses.is_dataclass(node):
+    fields = node_fields(node)
+    if fields is not None:
         kind = type(node).__name__
         if kind == "And" or kind == "BinOp" and node.op == "and":
             return ("And", tuple(tree(t) for t in and_terms(node)))
-        fields = dataclasses.fields(node)
         kind = "BinOp" if kind == "Rel" else kind
-        return (kind, *(tree(getattr(node, f.name)) for f in fields))
+        return (kind, *(tree(x) for x in fields))
     if isinstance(node, tuple):
         return tuple(tree(x) for x in node)
     return node

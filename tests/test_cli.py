@@ -215,6 +215,17 @@ class TestSample:
         assert "rejmc: --bound-c applies only without --bins" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_malformed_bins_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        refuse_sampling(monkeypatch)
+        args = [
+            "sample", "--density", "x", "--vars", "x", "--box", "0:1",
+            "--n", "10", "--bins", "4,x", "--csv", "out.csv",
+        ]
+        assert run(args, tmp_path, monkeypatch) == 1
+        err = capsys.readouterr().err
+        assert err == "rejmc: bad --bins: invalid literal for int() with base 10: 'x'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_requires_2d(self, tmp_path, monkeypatch):
         refuse_sampling(monkeypatch)
         assert run(sample_args(extra=["--plot", "p.svg"]), tmp_path, monkeypatch) == 1

@@ -1,5 +1,8 @@
+import inspect
+import itertools
 import math
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -310,6 +313,8 @@ class TestDeepTrees:
         "Call": lambda node: Call("min", (node, Num(1.0))),
     }
     LEAVES = {"Num": Num(0.5), "Const": Const("e"), "Var": Var("x", 0)}
+    # the text of one level of each chain
+    OPENS = {"Neg": "-", "BinOp": " + pi", "Call": "min("}
 
     @pytest.mark.parametrize("leaf", list(LEAVES))
     @pytest.mark.parametrize("kind", list(WRAPS))
@@ -324,8 +329,31 @@ class TestDeepTrees:
         for _, values in pooled:
             assert np.array_equal(values, here)
 
+    def test_every_walk_fits_three_frames_per_level(self):
+        """repr, ==, hash, to_text, evaluation and parsing of trees MAX_DEPTH
+        levels deep each fit the recursion budget of the MAX_DEPTH comment:
+        three frames per level, with room for the calls around them."""
+        pts = np.array([[0.25], [0.5]])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 3 * MAX_DEPTH + 40)
+        try:
+            for kind, leaf in itertools.product(self.WRAPS, self.LEAVES):
+                ast, twin = (_chain(self.WRAPS[kind], self.LEAVES[leaf]) for _ in range(2))
+                assert repr(ast).count(f"{kind}(") == MAX_DEPTH
+                assert ast == twin and ast is not twin and hash(ast) == hash(twin)
+                assert to_text(ast).count(self.OPENS[kind]) == MAX_DEPTH
+                assert np.all(np.isfinite(evaluate_batch(ast, pts)))
+            x = Var("x", 0)
+            assert parse(_calls(MAX_DEPTH), ["x"]) == _chain(lambda n: Call("sin", (n,)), x)
+            assert parse(_sum(MAX_DEPTH + 1), ["x"]) == _chain(lambda n: BinOp("+", n, x), x)
+        finally:
+            sys.setrecursionlimit(limit)
+
     @pytest.mark.parametrize("func", ["sin", "min"])
     def test_equality_hash_and_repr_walk_without_recursion(self, func):
+        """A chain of MAX_DEPTH calls compares, hashes and prints; how deep
+        that recurses is test_every_walk_fits_three_frames_per_level's."""
+
         def wrap(node):
             return Call(func, (node,) if func == "sin" else (node, Num(2.0)))
 
@@ -338,6 +366,8 @@ class TestDeepTrees:
         assert text.count("Call(") == MAX_DEPTH
 
     def test_repr_and_equality_are_the_dataclass_ones(self):
+        """repr prints Kind(field=value, ...), as a dataclass's would, and
+        == compares the fields as a tuple of them would."""
         ast = parse("min(x, 1) + -sin(y)^2 < 3 and x > pi", ["x", "y"])
         nodes = {cls.__name__: cls for cls in (BinOp, Call, Const, Neg, Num, Var)}
         assert eval(repr(ast), nodes) == ast

@@ -15,6 +15,8 @@ from rejmc import (
     VarOrder,
     build_piecewise_proposal,
     grmc_sample,
+    integrate_direct,
+    parse,
     validate_target,
 )
 from rejmc import model, samplers
@@ -96,6 +98,35 @@ class TestTargetSpec:
     def test_bound_must_be_positive_finite(self, c, sine_field, sine_box):
         with pytest.raises(ValueError):
             TargetSpec(sine_field, sine_box, c)
+
+
+class TestDimensionCheck:
+    """Every entry point that takes a field and a box refuses a field with
+    more or fewer variables than the box has dimensions, before it builds a
+    grid or draws a number."""
+
+    @pytest.mark.parametrize("field_dims,box_dims", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("entry", ["estimate_bound_argmax", "grmc_sample", "integrate_direct"])
+    def test_mismatch_is_refused_first(self, entry, field_dims, box_dims, monkeypatch):
+        names = "xy"[:field_dims]
+        field = ScalarField.from_text("1 + " + "*".join(names), names)
+        box = Box([(0.0, 1.0)] * box_dims)
+        proposal = build_piecewise_proposal(ScalarField.from_text("1", "xy"[:box_dims]), box, 2)
+        region = parse("x < 0.5", names)
+        calls = {
+            "estimate_bound_argmax": lambda: model.estimate_bound_argmax(field, box, 5),
+            "grmc_sample": lambda: grmc_sample(field, proposal, 10, 1),
+            "integrate_direct": lambda: integrate_direct(field, region, box, 100, 2, 1),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a grid or drew a number")
+
+        monkeypatch.setattr(model, "grid_reduce", refuse)
+        monkeypatch.setattr(RandomStream, "next_u64_block", refuse)
+        message = f"field has {field_dims} variables but box has {box_dims}"
+        with pytest.raises(ValueError, match=message):
+            calls[entry]()
 
 
 class TestValidateTarget:
